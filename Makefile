@@ -4,11 +4,10 @@
 
 GO ?= go
 
-# Where `make bench` records its machine-readable results. Each PR's
-# bench run gets its own file (BENCH_PR2.json, BENCH_PR3.json, …) so the
-# history stays comparable; override on the command line:
-#   make bench BENCH_OUT=BENCH_PR5.json
-BENCH_OUT ?= BENCH_PR7.json
+# Where `make bench` records its machine-readable results. There is no
+# default: each bench run names its own file, so a bare `make bench`
+# cannot overwrite a historical record (BENCH_PR2.json, …):
+#   make bench BENCH_OUT=BENCH_NEW.json
 
 # Baseline for `make bench-compare` (recorded by `make bench-rebaseline`
 # from the pre-PR tree — see that rule's comment):
@@ -73,6 +72,7 @@ smoke:
 # -benchmem and records ns/op, B/op, and allocs/op in $(BENCH_OUT).
 # BENCH_COUNT > 1 repeats each benchmark and records min/median.
 bench:
+	@test -n "$(BENCH_OUT)" || { echo "make bench: set BENCH_OUT to the record to write, e.g. make bench BENCH_OUT=BENCH_NEW.json" >&2; exit 1; }
 	$(GO) build -o bin/benchjson ./cmd/benchjson
 	($(GO) test -run=NONE -bench '$(BENCH_PATTERN)' \
 		-benchmem -benchtime 0.5s -count $(BENCH_COUNT) . && \

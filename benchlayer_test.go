@@ -7,6 +7,7 @@
 package sre_test
 
 import (
+	"context"
 	"testing"
 
 	"sre/internal/compress"
@@ -58,6 +59,7 @@ func benchLayer(b *testing.B) core.Layer {
 
 func benchSimulateLayer(b *testing.B, scalar bool) {
 	layer := benchLayer(b)
+	ctx := context.Background()
 	for _, mode := range []core.Mode{core.ModeBaseline, core.ModeORC, core.ModeDOF, core.ModeORCDOF} {
 		mode := mode
 		b.Run(mode.String(), func(b *testing.B) {
@@ -69,7 +71,9 @@ func benchSimulateLayer(b *testing.B, scalar bool) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				core.SimulateLayer(layer, cfg)
+				if _, err := core.SimulateLayerContext(ctx, layer, cfg); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

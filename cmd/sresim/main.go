@@ -157,8 +157,9 @@ func main() {
 }
 
 // modeHelp derives the -mode usage string from the registry, so a
-// newly registered mode shows up in -help without touching this file;
-// occ rides along because it runs through RunOCC, not RunContext.
+// newly registered mode shows up in -help without touching this file.
+// occ is appended by hand: it is not a registry row, and -mode occ
+// selects RunOCC, which builds the OCC structures it needs lazily.
 func modeHelp() string {
 	names := make([]string, 0, len(sre.Modes())+1)
 	for _, m := range sre.Modes() {

@@ -3,7 +3,7 @@
 // plans, the word-plane flattening of the per-group row bitsets, and
 // the static OU/wordline counts the simulator's scheduling needs.
 // Before this cache the simulator rebuilt identical plans (including
-// the delta-index encoding) on every SimulateLayer call, once per mode per
+// the delta-index encoding) on every layer run, once per mode per
 // RunAll sweep; now each distinct key is built exactly once per
 // Structure, concurrently-safe, and shared read-only by every mode and
 // worker.

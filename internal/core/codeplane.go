@@ -1,6 +1,6 @@
 // Window-code plane cache: the activation-side analogue of
-// compress.PlanSet. RunAll's modes (and repeated SimulateLayer
-// calls) all consume the same sampled window codes, but before this
+// compress.PlanSet. RunAll's modes (and repeated layer
+// runs) all consume the same sampled window codes, but before this
 // cache each mode re-synthesized them from the ActivationSource —
 // per-window RNG and transcendentals for workload.SyntheticActs,
 // im2col gathers for TensorSource — once per mode. A Layer that

@@ -25,14 +25,20 @@
 // per-tile cycle and energy sums over the sampled windows scale by
 // windows/sampled before the cross-tile maximum is taken.
 //
-// The simulator is parallel by default: window batch-work, per-tile
-// pipeline schedules, and independent layers are sharded over a shared
-// worker pool (internal/parallel, Config.Workers/Config.Pool). All
-// cross-shard state is written to disjoint, pre-sized slots and the
-// final reduction runs serially in a fixed order, so results are
-// bit-identical to a single-worker run at any pool width.
-// SimulateNetworkContext adds cancellation and per-layer progress
-// reporting on top of the same engine.
+// There is one layer engine, and it is batched: it simulates a layer
+// once per activation input (BatchInput) over the flattened
+// (input, window) space, sharing plans, planes and scratch across the
+// inputs. A single-input run — SimulateNetworkContext,
+// SimulateLayerContext — is a batch of one. The engine is parallel by
+// default: window batch-work, per-tile pipeline schedules, and
+// independent layers are sharded over a shared worker pool
+// (internal/parallel, Config.Workers/Config.Pool). All cross-shard
+// state is written to disjoint, pre-sized slots and the final
+// reduction runs serially in a fixed order, so results are
+// bit-identical to a single-worker run at any pool width, and every
+// batch input's result is bit-identical to a run of that input alone.
+// Every run is cancellable through its context and reports per-layer
+// progress (Config.Progress).
 package core
 
 import (
@@ -122,11 +128,11 @@ type Config struct {
 	Workers int
 	// Pool, when non-nil, is the shared worker pool to draw from
 	// (overrides Workers); sweeps use it to bound total concurrency
-	// across concurrent SimulateNetwork calls.
+	// across concurrent SimulateNetworkContext calls.
 	Pool *parallel.Pool
 	// Progress, when non-nil, is called after each layer completes
-	// during SimulateNetworkContext. Calls are serialized but may
-	// arrive out of layer order when layers overlap.
+	// during a network simulation. Calls are serialized but may arrive
+	// out of layer order when layers overlap.
 	Progress func(ProgressEvent)
 
 	// Metrics, when non-nil, receives run observability: OU
@@ -149,10 +155,10 @@ type Config struct {
 // ProgressEvent reports one completed layer of a running network
 // simulation.
 type ProgressEvent struct {
-	Index int // layer index in the input slice
-	Count int // total layers in the simulation
-	Done  int // layers completed so far, including this one
-	Layer LayerResult
+	Index int         // layer index in the input slice
+	Count int         // total layers in the simulation
+	Done  int         // layers completed so far, including this one
+	Layer LayerResult // the layer's result for the first batch input
 }
 
 // pool resolves the worker pool a simulation draws from, switching on
@@ -356,7 +362,7 @@ type Layer struct {
 	OCC    *compress.OCCStructure
 	Acts   ActivationSource
 	// Codes, when non-nil, caches the layer's sampled window codes so
-	// RunAll's modes (and repeated SimulateLayer calls) share one
+	// RunAll's modes (and repeated layer runs) share one
 	// materialization instead of re-reading Acts per mode
 	// (workload.Build attaches one to every layer). Config.NoCodeCache
 	// opts a run out.
@@ -401,67 +407,104 @@ func (r NetworkResult) TotalOUEvents() int64 {
 	return n
 }
 
-// SimulateNetwork runs every layer and sums latency (layers execute
-// sequentially on the modelled hardware) and energy. It is the
-// non-cancellable form of SimulateNetworkContext and panics on the
-// configuration errors that form reports (invalid quantization,
-// geometry mismatch, OCC misuse); long-running servers should call
-// SimulateNetworkContext and handle the error.
-func SimulateNetwork(layers []Layer, cfg Config) NetworkResult {
-	out, err := SimulateNetworkContext(context.Background(), layers, cfg)
-	if err != nil {
-		panic(err)
-	}
-	return out
+// BatchInput is one activation assignment of a network simulation.
+// Sources[i], when non-nil, replaces layer i's activation source; a nil
+// element — or a nil Sources slice — keeps the layer's own Acts.
+// Substituted sources bypass the layer's code/mask plane caches (those
+// hold the layer's own activations), so they are read per window
+// exactly as an uncached run would read them.
+type BatchInput struct {
+	Sources []ActivationSource
 }
 
-// SimulateNetworkContext runs every layer, overlapping independent
-// layers on the worker pool, and sums modelled latency and energy. The
-// modelled hardware still executes layers sequentially — overlap only
-// accelerates the simulation itself, and the fixed-order reduction
-// keeps results bit-identical to a single-worker run. Returns ctx.Err
-// if the context is cancelled before the simulation completes, or the
-// first (lowest-index) layer's configuration error otherwise.
+// SimulateNetworkContext runs every layer once over the layers' own
+// activations: a batch of one input.
 func SimulateNetworkContext(ctx context.Context, layers []Layer, cfg Config) (NetworkResult, error) {
+	out, err := SimulateNetworkBatchContext(ctx, layers, cfg, []BatchInput{{}})
+	if err != nil {
+		return NetworkResult{}, err
+	}
+	return out[0], nil
+}
+
+// SimulateNetworkBatchContext runs every layer once per batch input,
+// overlapping independent layers on the worker pool, and returns one
+// NetworkResult per input, in batch order. The modelled hardware still
+// executes layers sequentially — overlap only accelerates the
+// simulation itself, and the fixed-order reduction keeps results
+// bit-identical to a single-worker run. Result j is bit-identical to a
+// one-input run over layers with input j's sources substituted: static
+// (non-DOF) modes never read activation values, so the whole batch
+// costs one simulation plus replication, and DOF modes share plans,
+// planes and scratch across inputs. cfg.Progress fires once per layer,
+// reporting the first input's result. Returns ctx.Err if the context
+// is cancelled before the simulation completes, or the first
+// (lowest-index) layer's configuration error otherwise.
+func SimulateNetworkBatchContext(ctx context.Context, layers []Layer, cfg Config, batch []BatchInput) ([]NetworkResult, error) {
+	if len(batch) == 0 {
+		return nil, fmt.Errorf("core: SimulateNetworkBatchContext needs at least one batch input")
+	}
+	for j := range batch {
+		if batch[j].Sources != nil && len(batch[j].Sources) != len(layers) {
+			return nil, fmt.Errorf("core: batch input %d has %d sources, network has %d layers",
+				j, len(batch[j].Sources), len(layers))
+		}
+	}
+	n := len(batch)
 	pool := cfg.pool()
-	results := make([]LayerResult, len(layers))
+	results := make([]LayerResult, len(layers)*n) // [layer*n + input]
 	layerErrs := make([]error, len(layers))
 	var progressMu sync.Mutex
 	done := 0
 	err := pool.For(ctx, len(layers), func(start, end int) {
+		srcs := make([]ActivationSource, n)
 		for i := start; i < end; i++ {
-			lr, err := simulateLayer(ctx, layers[i], cfg, pool)
-			if err != nil {
+			for j := range batch {
+				srcs[j] = nil
+				if batch[j].Sources != nil {
+					srcs[j] = batch[j].Sources[i]
+				}
+			}
+			lrs := results[i*n : (i+1)*n]
+			if err := simulateLayer(ctx, layers[i], cfg, pool, srcs, lrs); err != nil {
 				layerErrs[i] = err
 				return
 			}
-			lr.Energy.Interconnect = cfg.NoC.LayerHandoffEnergy(layers[i].OutputBits)
-			results[i] = lr
+			for j := range lrs {
+				lrs[j].Energy.Interconnect = cfg.NoC.LayerHandoffEnergy(layers[i].OutputBits)
+			}
 			if cfg.Progress != nil {
 				progressMu.Lock()
 				done++
-				cfg.Progress(ProgressEvent{Index: i, Count: len(layers), Done: done, Layer: lr})
+				cfg.Progress(ProgressEvent{Index: i, Count: len(layers), Done: done, Layer: lrs[0]})
 				progressMu.Unlock()
 			}
 		}
 	})
 	if err != nil {
-		return NetworkResult{}, err
+		return nil, err
 	}
 	for i, lerr := range layerErrs {
 		if lerr != nil {
-			return NetworkResult{}, fmt.Errorf("layer %d (%s): %w", i, layers[i].Name, lerr)
+			return nil, fmt.Errorf("layer %d (%s): %w", i, layers[i].Name, lerr)
 		}
 	}
 	publishPoolMetrics(cfg.Metrics, pool)
-	return reduceNetwork(layers, results), nil
+	out := make([]NetworkResult, n)
+	perLayer := make([]LayerResult, len(layers))
+	for j := range out {
+		for i := range layers {
+			perLayer[i] = results[i*n+j]
+		}
+		out[j] = reduceNetwork(layers, perLayer)
+	}
+	return out, nil
 }
 
 // reduceNetwork folds per-layer results into the network total: layers
 // execute sequentially on the modelled hardware, except that a run of
 // layers sharing a non-empty ParallelGroup executes concurrently —
-// latency is the slowest member's, energy sums. Shared by the
-// single-input and batched network simulations.
+// latency is the slowest member's, energy sums.
 func reduceNetwork(layers []Layer, results []LayerResult) NetworkResult {
 	var out NetworkResult
 	for i := 0; i < len(layers); {
@@ -488,20 +531,14 @@ func reduceNetwork(layers []Layer, results []LayerResult) NetworkResult {
 	return out
 }
 
-// SimulateLayer runs one layer under cfg. It panics on the
-// configuration errors SimulateLayerContext reports.
-func SimulateLayer(l Layer, cfg Config) LayerResult {
-	lr, err := SimulateLayerContext(context.Background(), l, cfg)
-	if err != nil {
-		panic(err)
-	}
-	return lr
-}
-
-// SimulateLayerContext runs one layer under cfg, sharding its window
-// and tile loops over the worker pool.
+// SimulateLayerContext runs one layer under cfg over its own
+// activations, sharding its window and tile loops over the worker pool.
 func SimulateLayerContext(ctx context.Context, l Layer, cfg Config) (LayerResult, error) {
-	return simulateLayer(ctx, l, cfg, cfg.pool())
+	var out [1]LayerResult
+	if err := simulateLayer(ctx, l, cfg, cfg.pool(), []ActivationSource{nil}, out[:]); err != nil {
+		return LayerResult{}, err
+	}
+	return out[0], nil
 }
 
 // tilePlan is one (rb, cb) tile's per-run execution state: static
@@ -546,53 +583,72 @@ func validateModeLayer(l Layer, cfg Config) error {
 	return nil
 }
 
-// simulateLayer is the layer engine. It runs in three phases so that
-// parallel execution stays bit-identical to serial:
+// simulateLayer is the layer engine. It simulates l once per
+// activation source (sources[j] nil means the layer's own Acts) and
+// writes input j's result to out[j]. A single-input run is a batch of
+// one. The engine runs in three phases so that parallel execution stays
+// bit-identical to serial:
 //
 //  1. per-window batch work — OU slots and driven wordlines per tile —
-//     computed by workers over disjoint window shards (pure functions
-//     of the window, written to disjoint slots);
-//  2. per-tile pipeline schedules — each tile's tracker consumes its
-//     batches in window order, workers over disjoint tile shards;
-//  3. a serial reduction over tiles in fixed (row, column) order, the
-//     same float-accumulation order as the serial simulator.
+//     computed by workers over disjoint shards of the flattened
+//     (input, window) space (pure functions of the window, written to
+//     disjoint slots);
+//  2. per-(input, tile) pipeline schedules — each tracker consumes its
+//     input's batches in window order, workers over disjoint tile
+//     shards;
+//  3. per input, a serial reduction over tiles in fixed (row, column)
+//     order, the same float-accumulation order as the serial simulator.
 //
-// Configuration problems (invalid quantization, a structure built for a
-// different geometry, OCC misuse) are reported as errors, not panics,
-// so sweep servers survive a bad request.
-func simulateLayer(ctx context.Context, l Layer, cfg Config, pool *parallel.Pool) (LayerResult, error) {
-	if err := cfg.Quant.Validate(); err != nil {
-		return LayerResult{}, err
+// Every input therefore sees exactly the arithmetic of a run of that
+// input alone. Configuration problems (invalid quantization, a
+// structure built for a different geometry, OCC misuse) are reported as
+// errors, not panics, so sweep servers survive a bad request.
+func simulateLayer(ctx context.Context, l Layer, cfg Config, pool *parallel.Pool,
+	sources []ActivationSource, out []LayerResult) error {
+	windows := l.Acts.Windows()
+	uniform := true // every input agrees on the window count
+	for j, src := range sources {
+		if src == nil {
+			sources[j] = l.Acts
+		} else if src.Windows() != windows {
+			uniform = false
+		}
 	}
-	st := l.Struct
-	lay := st.Layout
+	single := len(sources) == 1 && sources[0] == l.Acts
+	if !single && (!cfg.Mode.DOF || !uniform || cfg.ScalarReference) {
+		return simulateEach(ctx, l, cfg, pool, sources, out)
+	}
+
+	if err := cfg.Quant.Validate(); err != nil {
+		return err
+	}
+	lay := l.Struct.Layout
 	g := cfg.Geometry
 	if lay.SWL != g.SWL || lay.SBL != g.SBL || lay.XbarRows != g.XbarRows {
-		return LayerResult{}, fmt.Errorf(
+		return fmt.Errorf(
 			"core: layer %q: structure was built with a different geometry (layout %d/%d/%d, config %d/%d/%d)",
 			l.Name, lay.XbarRows, lay.SWL, lay.SBL, g.XbarRows, g.SWL, g.SBL)
 	}
-	cycleTime := cfg.CycleTime()
-	eCfg := cfg.Energy
+	if err := validateModeLayer(l, cfg); err != nil {
+		return err
+	}
+	n := len(sources)
+	sampled := SampledWindows(windows, cfg.MaxWindows)
+	spi := cfg.Quant.SlicesPerInput()
+	nTiles := lay.RowBlocks * lay.ColBlocks
 	// msh is this layer call's private metrics shard (nil when the run
 	// is unmetered — every cell operation on the nil chain is a no-op).
 	// Layers overlap on the pool, so shard-per-layer keeps the serial
 	// phase-3 writes race-free without locks.
 	msh := cfg.Metrics.Shard()
 
-	windows := l.Acts.Windows()
-	sampled := SampledWindows(windows, cfg.MaxWindows)
-
-	if err := validateModeLayer(l, cfg); err != nil {
-		return LayerResult{}, err
-	}
-
-	// Resolve the layer's shared window-code plane. Every non-scalar
-	// mode performs the lookup — not just the DOF modes that read the
-	// codes — so the cache's hit/miss algebra is deterministic for a
-	// fixed workload: misses == builds == distinct sampled counts, hits
-	// == lookups − builds, regardless of mode order. The scalar
-	// reference path keeps its historical per-call source reads.
+	// Resolve the layer's shared window-code plane; it serves the inputs
+	// bound to the layer's own source. Every non-scalar mode performs the
+	// lookup — not just the DOF modes that read the codes — so the
+	// cache's hit/miss algebra is deterministic for a fixed workload:
+	// misses == builds == distinct sampled counts, hits == lookups −
+	// builds, regardless of mode order. The scalar reference path keeps
+	// its historical per-call source reads.
 	var plane []uint32
 	if l.Codes != nil && !cfg.NoCodeCache && !cfg.ScalarReference {
 		plane = l.Codes.plane(l.Acts, lay.Rows, sampled, windows, codeCacheMetrics{
@@ -605,7 +661,8 @@ func simulateLayer(ctx context.Context, l Layer, cfg Config, pool *parallel.Pool
 
 	// Non-scalar paths run on a pooled scratch block (plan grid, DOF
 	// work slots, tile accumulators); the scalar reference keeps fresh
-	// allocations so the golden baseline's behavior is untouched.
+	// allocations (a nil block) so the golden baseline's behavior is
+	// untouched.
 	var ls *layerScratch
 	if !cfg.ScalarReference {
 		ls = getLayerScratch(arenaMetrics{
@@ -617,10 +674,10 @@ func simulateLayer(ctx context.Context, l Layer, cfg Config, pool *parallel.Pool
 
 	// Per-tile plans. The row-compression plans (and their word-plane
 	// flattening) are memoized on the Structure per (scheme, indexBits),
-	// so RunAll's modes and repeated SimulateLayer calls share one
-	// build; only the mode-dependent fetch shape is derived here. The
-	// scalar reference path instead rebuilds everything per call, as
-	// the pre-kernel simulator did.
+	// so RunAll's modes and repeated runs share one build; only the
+	// mode-dependent fetch shape is derived here. The scalar reference
+	// path instead rebuilds everything per call, as the pre-kernel
+	// simulator did.
 	var plans [][]tilePlan
 	switch {
 	case cfg.Mode.Scheme == compress.OCC:
@@ -641,23 +698,21 @@ func simulateLayer(ctx context.Context, l Layer, cfg Config, pool *parallel.Pool
 		var err error
 		plans, err = scalarTilePlans(ctx, l, cfg)
 		if err != nil {
-			return LayerResult{}, err
+			return err
 		}
 	default:
 		var err error
 		plans, err = kernelTilePlans(ctx, l, cfg, ls, msh)
 		if err != nil {
-			return LayerResult{}, err
+			return err
 		}
 	}
 
-	spi := cfg.Quant.SlicesPerInput()
-	nTiles := lay.RowBlocks * lay.ColBlocks
-
-	// Phase 1: per-window batch work, sharded over windows. Only DOF
-	// modes inspect the activations; for the static modes every window
-	// issues the same per-tile batch, so the phase is skipped entirely.
-	var work []batchWork // indexed [wi*nTiles + rb*ColBlocks + cb]
+	// Phase 1: per-window batch work over the flattened (input, window)
+	// space. Only DOF modes inspect the activations; for the static
+	// modes every window issues the same per-tile batch, so the phase is
+	// skipped entirely.
+	var work []batchWork // indexed [(input*sampled + window)*nTiles + rb*ColBlocks + cb]
 	if cfg.Mode.DOF {
 		// Resolve the derived slice-mask plane (maskplane.go): when the
 		// code plane is cached, the per-window BuildSliceMasks sweep and
@@ -673,94 +728,140 @@ func simulateLayer(ctx context.Context, l Layer, cfg Config, pool *parallel.Pool
 				bytes:  msh.Counter("sre_core_mask_cache_bytes_total"),
 			})
 		}
-		if ls != nil {
-			work = ls.workSlots(sampled * nTiles)
-		} else {
-			work = make([]batchWork, sampled*nTiles)
+		inputs := make([]p1Input, n)
+		cached := true   // every input reads a materialized code plane
+		clonable := true // every source-reading input can clone per worker
+		for j, src := range sources {
+			inputs[j] = p1Input{acts: src}
+			if src == l.Acts {
+				inputs[j].plane, inputs[j].mp = plane, mp
+			}
+			if inputs[j].plane == nil {
+				cached = false
+				if _, ok := src.(SourceCloner); !ok {
+					clonable = false
+				}
+			}
 		}
-		phase1 := kernelPhase1(ctx, l, cfg, plans, work, sampled, windows,
-			[]p1Input{{plane: plane, mp: mp, acts: l.Acts}})
+		work = ls.workSlots(n * sampled * nTiles)
+		var phase1 func(start, end int)
 		if cfg.ScalarReference {
 			phase1 = scalarPhase1(ctx, l, cfg, plans, work, sampled, windows)
-		}
-		if plane != nil {
-			// Cached codes need no source reads, so the window loop can
-			// rebalance freely: dynamic chunked sharding absorbs the
-			// skew of activation-dependent window costs. Result slots
-			// stay disjoint, so bit-identity is unaffected.
-			if err := pool.ForDynamic(ctx, sampled, parallel.ChunkFor(sampled, pool.Workers()), phase1); err != nil {
-				return LayerResult{}, err
-			}
 		} else {
-			winPool := pool
-			if _, ok := l.Acts.(SourceCloner); !ok {
-				// The source cannot give workers private views; read it
-				// from a single shard (tiles still parallelize below).
-				winPool = nil
-			}
-			if err := winPool.For(ctx, sampled, phase1); err != nil {
-				return LayerResult{}, err
-			}
+			phase1 = kernelPhase1(ctx, l, cfg, plans, work, sampled, windows, inputs)
+		}
+		total := n * sampled
+		var err error
+		switch {
+		case cached:
+			// Cached codes need no source reads, so the window loop can
+			// rebalance freely: dynamic chunked sharding absorbs the skew
+			// of activation-dependent window costs. Result slots stay
+			// disjoint, so bit-identity is unaffected.
+			err = pool.ForDynamic(ctx, total, parallel.ChunkFor(total, pool.Workers()), phase1)
+		case clonable:
+			err = pool.For(ctx, total, phase1)
+		default:
+			// A source that cannot give workers private views is read
+			// from a single shard (tiles still parallelize below).
+			var serial *parallel.Pool
+			err = serial.For(ctx, total, phase1)
+		}
+		if err != nil {
+			return err
 		}
 	}
 
-	// Phase 2: per-tile pipeline schedules, sharded over tiles. Each
-	// tile's tracker consumes its batches in window order — the same
-	// order (and, for the float fetch-energy sum, the same sequence of
-	// additions) as the serial simulator.
-	var accs []tileAcc
-	if ls != nil {
-		accs = ls.tileAccs(nTiles)
-	} else {
-		accs = make([]tileAcc, nTiles)
-	}
+	// Phase 2: per-(input, tile) pipeline schedules, sharded over tiles.
+	// Each tracker consumes its input's batches in window order — the
+	// same order (and, for the float fetch-energy sum, the same sequence
+	// of additions) as the serial simulator.
+	accs := ls.tileAccs(n * nTiles)
+	cycleTime := cfg.CycleTime()
 	err := pool.For(ctx, nTiles, func(start, end int) {
 		for t := start; t < end; t++ {
 			if ctx.Err() != nil {
 				return
 			}
-			rb, cb := t/lay.ColBlocks, t%lay.ColBlocks
-			tp := &plans[rb][cb]
-			acc := &accs[t]
-			var tracker pipeline.Tracker
+			tp := &plans[t/lay.ColBlocks][t%lay.ColBlocks]
+			var fetchCycles int64
 			if cfg.Buffer.Banks > 0 {
 				// An explicit buffer model may not sustain the §5.3
 				// one-cycle fetch; charge the fetch stage accordingly.
 				totalBits := tp.fetchBits * tp.fetchGroups
-				tracker.FetchCycles = int64(1 + cfg.Buffer.StallCycles(totalBits, cycleTime))
+				fetchCycles = int64(1 + cfg.Buffer.StallCycles(totalBits, cycleTime))
 			}
 			staticOUs := tp.staticOUs * int64(spi)
 			staticWL := tp.staticWL * int64(spi)
-			fetchE := float64(tp.fetchGroups) * eCfg.FetchEnergy(tp.fetchBits)
-			for wi := 0; wi < sampled; wi++ {
-				batchOUs, batchWL := staticOUs, staticWL
-				if cfg.Mode.DOF {
-					bw := work[wi*nTiles+t]
-					batchOUs, batchWL = bw.ous, bw.wl
+			fetchE := float64(tp.fetchGroups) * cfg.Energy.FetchEnergy(tp.fetchBits)
+			for j := 0; j < n; j++ {
+				acc := &accs[j*nTiles+t]
+				tracker := pipeline.Tracker{FetchCycles: fetchCycles}
+				for wi := 0; wi < sampled; wi++ {
+					batchOUs, batchWL := staticOUs, staticWL
+					if cfg.Mode.DOF {
+						bw := work[(j*sampled+wi)*nTiles+t]
+						batchOUs, batchWL = bw.ous, bw.wl
+					}
+					tracker.Batch(batchOUs)
+					acc.ouEvents += batchOUs
+					acc.drivenWL += batchWL
+					acc.fetches += int64(tp.fetchGroups)
+					acc.fetchE += fetchE
 				}
-				tracker.Batch(batchOUs)
-				acc.ouEvents += batchOUs
-				acc.drivenWL += batchWL
-				acc.fetches += int64(tp.fetchGroups)
-				acc.fetchE += fetchE
+				acc.total, acc.stalls = tracker.Finish()
 			}
-			acc.total, acc.stalls = tracker.Finish()
 		}
 	})
 	if err != nil {
-		return LayerResult{}, err
+		return err
 	}
 
-	// Phase 3: serial reduction in fixed tile order — latency is the
-	// slowest tile; energy sums over tiles.
-	return phase3Reduce(l, cfg, plans, accs, windows, sampled, msh), nil
+	// Phase 3: per-input serial reductions over each input's accumulator
+	// stripe, in input order — latency is the slowest tile; energy sums
+	// over tiles.
+	for j := range out {
+		out[j] = phase3Reduce(l, cfg, plans, accs[j*nTiles:(j+1)*nTiles], windows, sampled, msh)
+	}
+	return nil
+}
+
+// simulateEach runs the inputs the one-pass engine does not batch.
+// Static modes read the activations only through Windows(), so one run
+// over the layer's own source serves every input that agrees on its
+// window count. The rest — DOF under the scalar golden reference, or
+// inputs that disagree on the window count (so the flattened
+// (input, window) space would not be rectangular) — run one input at a
+// time, the semantics the batched pass is proven against.
+func simulateEach(ctx context.Context, l Layer, cfg Config, pool *parallel.Pool,
+	sources []ActivationSource, out []LayerResult) error {
+	windows := l.Acts.Windows()
+	var base [1]LayerResult
+	if !cfg.Mode.DOF {
+		if err := simulateLayer(ctx, l, cfg, pool, []ActivationSource{nil}, base[:]); err != nil {
+			return err
+		}
+	}
+	for j, src := range sources {
+		if !cfg.Mode.DOF && src.Windows() == windows {
+			out[j] = base[0]
+			continue
+		}
+		lj := l
+		if src != l.Acts {
+			lj.Acts, lj.Codes = src, nil
+		}
+		if err := simulateLayer(ctx, lj, cfg, pool, []ActivationSource{nil}, out[j:j+1]); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // kernelTilePlans resolves the memoized word-plane tile plans of a
 // non-OCC, non-scalar run into ls's plan grid — the row-compression
 // plans come from the Structure's (scheme, indexBits) memo; only the
-// mode-dependent fetch shape is derived here. Shared by the
-// single-input and batched layer engines.
+// mode-dependent fetch shape is derived here.
 func kernelTilePlans(ctx context.Context, l Layer, cfg Config, ls *layerScratch, msh *metrics.Shard) ([][]tilePlan, error) {
 	lay := l.Struct.Layout
 	ps := l.Struct.PlanSetMetered(cfg.Mode.Scheme, cfg.IndexBits, compress.CacheMetrics{
@@ -795,10 +896,9 @@ func kernelTilePlans(ctx context.Context, l Layer, cfg Config, ls *layerScratch,
 // phase3Reduce is the layer engine's serial phase-3 reduction over one
 // input's tile accumulators, in fixed (row, column) tile order — the
 // same float-accumulation order as the serial simulator. Latency is
-// the slowest tile's scaled schedule; energy sums over tiles. Shared
-// by the single-input and batched layer engines (a batched layer
-// reduces each input's accumulator stripe independently, in input
-// order, so every input sees exactly the single-run order).
+// the slowest tile's scaled schedule; energy sums over tiles. A batched
+// layer reduces each input's accumulator stripe independently, in input
+// order, so every input sees exactly the single-run order.
 func phase3Reduce(l Layer, cfg Config, plans [][]tilePlan, accs []tileAcc, windows, sampled int, msh *metrics.Shard) LayerResult {
 	lay := l.Struct.Layout
 	g := cfg.Geometry
@@ -865,8 +965,7 @@ func phase3Reduce(l Layer, cfg Config, plans [][]tilePlan, accs []tileAcc, windo
 // p1Input is one activation input's phase-1 view. Exactly one of the
 // derivation tiers is used per window: the cached slice-mask plane
 // (mp), the cached code plane (plane), or a per-worker clone of the
-// source (acts). Single-input simulations pass one of these; batched
-// multi-activation sweeps pass one per coalesced input.
+// source (acts). The engine passes one per batch input.
 type p1Input struct {
 	plane []uint32
 	mp    *maskPlane
@@ -875,8 +974,7 @@ type p1Input struct {
 
 // kernelPhase1 returns the word-plane phase-1 shard body over the
 // flattened (input, window) index space (idx = input·sampled+window;
-// single-input runs pass one input, so idx degenerates to the window
-// index). For each window it derives all activation bit-slice masks in
+// a batch of one degenerates idx to the window index). For each window it derives all activation bit-slice masks in
 // one sweep (bitset.BuildSliceMasks) — or reads them straight from the
 // input's cached mask plane — then counts every column group's
 // retained-row intersection with one fused pass per slice over the

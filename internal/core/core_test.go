@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"sre/internal/compress"
@@ -22,6 +23,28 @@ func (s *sliceSource) WindowCodes(w int, dst []uint32) {
 
 // smallCase builds a random single-tile layer: weight tensor, its
 // structure, quantized matrix, and random input codes.
+// mustLayer runs SimulateLayerContext, failing tb on a configuration
+// error.
+func mustLayer(tb testing.TB, l Layer, cfg Config) LayerResult {
+	tb.Helper()
+	lr, err := SimulateLayerContext(context.Background(), l, cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return lr
+}
+
+// mustNetwork runs SimulateNetworkContext, failing tb on a
+// configuration error.
+func mustNetwork(tb testing.TB, layers []Layer, cfg Config) NetworkResult {
+	tb.Helper()
+	res, err := SimulateNetworkContext(context.Background(), layers, cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res
+}
+
 func smallCase(seed uint64, rows, cols int, p quant.Params, g mapping.Geometry, zeroW, zeroA float64) (
 	*compress.Structure, *quant.Matrix, []uint32) {
 	r := xrand.New(seed)
@@ -74,7 +97,7 @@ func TestOUEventsMatchFunctionalModel(t *testing.T) {
 		for _, mode := range []Mode{ModeBaseline, ModeORC, ModeDOF, ModeORCDOF} {
 			cfg := Config{Geometry: g, Quant: p, Mode: mode, IndexBits: 0,
 				MaxWindows: 0, Energy: energy.Default()}
-			lr := SimulateLayer(Layer{Name: "t", Struct: st, Acts: acts}, cfg)
+			lr := mustLayer(t, Layer{Name: "t", Struct: st, Acts: acts}, cfg)
 
 			sched := orcSchedule(st, mode.Scheme, 0)
 			fres := crossbar.Execute(arr, inputs, p, g.SWL, sched, mode.DOF)
@@ -129,7 +152,7 @@ func TestModeOrdering(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.Mode = mode
 		cfg.MaxWindows = 0
-		results[mode.String()] = SimulateLayer(layer, cfg)
+		results[mode.String()] = mustLayer(t, layer, cfg)
 	}
 	b := results["baseline"]
 	if b.Cycles <= 0 || b.Energy.Total() <= 0 {
@@ -173,8 +196,8 @@ func TestDeterminism(t *testing.T) {
 	acts := &sliceSource{rows: [][]uint32{inputs}}
 	cfg := DefaultConfig()
 	cfg.Mode = ModeORCDOF
-	a := SimulateLayer(Layer{Name: "d", Struct: st, Acts: acts}, cfg)
-	b := SimulateLayer(Layer{Name: "d", Struct: st, Acts: acts}, cfg)
+	a := mustLayer(t, Layer{Name: "d", Struct: st, Acts: acts}, cfg)
+	b := mustLayer(t, Layer{Name: "d", Struct: st, Acts: acts}, cfg)
 	if a.Cycles != b.Cycles || a.Energy != b.Energy {
 		t.Fatal("simulation is not deterministic")
 	}
@@ -200,9 +223,9 @@ func TestSamplingApproximatesFullRun(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Mode = ModeORCDOF
 	cfg.MaxWindows = 0
-	full := SimulateLayer(layer, cfg)
+	full := mustLayer(t, layer, cfg)
 	cfg.MaxWindows = 10
-	sampledRes := SimulateLayer(layer, cfg)
+	sampledRes := mustLayer(t, layer, cfg)
 	if sampledRes.Sampled != 10 || full.Sampled != 40 {
 		t.Fatalf("sampling bookkeeping wrong: %d/%d", sampledRes.Sampled, full.Sampled)
 	}
@@ -222,7 +245,7 @@ func TestNetworkAggregation(t *testing.T) {
 		{Name: "l2", Struct: st2, Acts: &sliceSource{rows: [][]uint32{in2}}},
 	}
 	cfg := DefaultConfig()
-	res := SimulateNetwork(layers, cfg)
+	res := mustNetwork(t, layers, cfg)
 	if len(res.Layers) != 2 {
 		t.Fatal("layer count")
 	}
@@ -290,7 +313,7 @@ func TestPipelineOverheadSmall(t *testing.T) {
 	acts := &sliceSource{rows: [][]uint32{inputs}}
 	cfg := DefaultConfig()
 	cfg.MaxWindows = 0
-	lr := SimulateLayer(Layer{Name: "p", Struct: st, Acts: acts}, cfg)
+	lr := mustLayer(t, Layer{Name: "p", Struct: st, Acts: acts}, cfg)
 	if lr.Cycles < lr.OUEvents || lr.Cycles > lr.OUEvents+8 {
 		t.Fatalf("pipelined cycles %d vs OU events %d", lr.Cycles, lr.OUEvents)
 	}
@@ -321,7 +344,7 @@ func BenchmarkSimulateLayerModes(b *testing.B) {
 			cfg.Mode = mode
 			cfg.MaxWindows = 0
 			for i := 0; i < b.N; i++ {
-				SimulateLayer(layer, cfg)
+				mustLayer(b, layer, cfg)
 			}
 		})
 	}

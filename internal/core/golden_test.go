@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"sre/internal/mapping"
@@ -28,9 +29,15 @@ func goldenLayer(t *testing.T) Layer {
 	p := quant.Default()
 	g := mapping.Default()
 	st, _, _ := smallCase(13, 200, 20, p, g, 0.65, 0)
-	r := xrand.New(17)
-	src := &cloneableSource{}
-	for w := 0; w < 9; w++ {
+	return Layer{Name: "golden", Struct: st, Acts: &cloneableSource{goldenActs(17, 9)}}
+}
+
+// goldenActs draws sparse 16-bit activation codes for goldenLayer's 200
+// rows over the given number of windows.
+func goldenActs(seed uint64, windows int) sliceSource {
+	r := xrand.New(seed)
+	var src sliceSource
+	for w := 0; w < windows; w++ {
 		v := make([]uint32, 200)
 		for i := range v {
 			if !r.Bernoulli(0.55) {
@@ -39,7 +46,7 @@ func goldenLayer(t *testing.T) Layer {
 		}
 		src.rows = append(src.rows, v)
 	}
-	return Layer{Name: "golden", Struct: st, Acts: src}
+	return src
 }
 
 // TestGoldenKernelMatchesScalar is the tentpole's bit-identity proof:
@@ -68,6 +75,71 @@ func TestGoldenKernelMatchesScalar(t *testing.T) {
 			}
 			if kernel != scalar {
 				t.Fatalf("%v workers=%d: kernel %+v != scalar %+v", mode, workers, kernel, scalar)
+			}
+		}
+	}
+}
+
+// TestGoldenBatchMatchesScalar checks the batched engine against the
+// only oracle independent of it: each batch input's result must equal
+// a ScalarReference run of that input alone, field for field, for
+// every mode and worker count. The batches cover each phase-1 route:
+// the layer's own cached source (dynamic sharding over the code
+// plane), substituted cloneable sources (static sharding), a
+// non-cloneable source (one serial shard), and a source with a
+// different window count (one run per input).
+func TestGoldenBatchMatchesScalar(t *testing.T) {
+	layer := goldenLayer(t)
+	layer.Codes = NewCodePlanes()
+	ctx := context.Background()
+	cloneable := func(seed uint64) ActivationSource { return &cloneableSource{goldenActs(seed, 9)} }
+	plain := func(seed uint64, windows int) ActivationSource {
+		src := goldenActs(seed, windows)
+		return &src
+	}
+	batches := []struct {
+		name    string
+		sources []ActivationSource // nil = the layer's own source
+	}{
+		{"cached", []ActivationSource{nil, nil, nil, nil}},
+		{"cloneable", []ActivationSource{nil, cloneable(21), cloneable(22), cloneable(23)}},
+		{"non-cloneable", []ActivationSource{nil, cloneable(31), plain(32, 9), plain(33, 9)}},
+		{"window-mismatch", []ActivationSource{nil, cloneable(41), plain(42, 9), plain(43, 5)}},
+	}
+	modes := []Mode{ModeBaseline, ModeNaive, ModeReCom, ModeORC, ModeDOF, ModeORCDOF, ModeWSS, ModeORCDOFWSS}
+	for _, bt := range batches {
+		batch := make([]BatchInput, len(bt.sources))
+		for j, src := range bt.sources {
+			if src != nil {
+				batch[j].Sources = []ActivationSource{src}
+			}
+		}
+		for _, mode := range modes {
+			for _, workers := range []int{1, 4} {
+				cfg := DefaultConfig()
+				cfg.Mode = mode
+				cfg.MaxWindows = 0
+				cfg.Workers = workers
+				got, err := SimulateNetworkBatchContext(ctx, []Layer{layer}, cfg, batch)
+				if err != nil {
+					t.Fatalf("%s %v workers=%d: %v", bt.name, mode, workers, err)
+				}
+				scfg := cfg
+				scfg.ScalarReference = true
+				for j, src := range bt.sources {
+					alone := layer
+					if src != nil {
+						alone.Acts, alone.Codes = src, nil
+					}
+					want, err := SimulateNetworkContext(ctx, []Layer{alone}, scfg)
+					if err != nil {
+						t.Fatalf("%s %v workers=%d input %d scalar: %v", bt.name, mode, workers, j, err)
+					}
+					if !reflect.DeepEqual(got[j], want) {
+						t.Fatalf("%s %v workers=%d input %d: batched %+v != scalar %+v",
+							bt.name, mode, workers, j, got[j], want)
+					}
+				}
 			}
 		}
 	}

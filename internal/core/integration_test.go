@@ -75,7 +75,7 @@ func TestRealNetworkEndToEnd(t *testing.T) {
 	}
 
 	run := func(m Mode) NetworkResult {
-		return SimulateNetwork(layers, Config{
+		return mustNetwork(t, layers, Config{
 			Geometry: g, Quant: p, Mode: m, IndexBits: 5, MaxWindows: 0,
 			Energy: energy.Default(),
 		})

@@ -15,6 +15,11 @@
 //     layout accumulates currents belonging to different outputs.
 //  2. Cycle truth: the analytic cycle model in internal/core is checked
 //     against Execute's counted cycles on random instances.
+//
+// Only tests import this package. It is the functional oracle for the
+// analytic model: no simulation path runs it, so a bug the analytic
+// model's implementations share still shows up as a disagreement with
+// it.
 package crossbar
 
 import (

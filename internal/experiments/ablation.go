@@ -7,7 +7,6 @@ import (
 	"sre/internal/chip"
 	"sre/internal/compress"
 	"sre/internal/core"
-	"sre/internal/energy"
 	"sre/internal/mapping"
 	"sre/internal/quant"
 	"sre/internal/workload"
@@ -98,18 +97,12 @@ func AblationOCC(opt Options) (*Table, error) {
 			inBits += layers[i].Struct.IndexStorageBits(compress.ORC, spec.IndexBits)
 			outBits += occs[i].OutputIndexBits()
 		}
-		sim := func(m core.Mode) core.NetworkResult {
-			return core.SimulateNetwork(layers, core.Config{
-				Geometry: g, Quant: p, Mode: m, IndexBits: spec.IndexBits,
-				MaxWindows: opt.maxWindows(), Workers: opt.Workers,
-				NoCodeCache: opt.NoCodeCache,
-				Energy:      energy.Default(),
-			})
+		res, err := simulate(layers, config(p, g, spec.IndexBits, opt),
+			core.ModeBaseline, core.ModeORC, core.ModeOCC, core.ModeORCDOF)
+		if err != nil {
+			return nil, err
 		}
-		base := sim(core.ModeBaseline)
-		orc := sim(core.ModeORC)
-		occ := sim(core.ModeOCC)
-		both := sim(core.ModeORCDOF)
+		base, orc, occ, both := res[0], res[1], res[2], res[3]
 		bc := float64(base.Cycles)
 		t.AddRow(spec.Name,
 			f2(float64(total)/float64(maxI64(orcCells, 1))),
@@ -156,11 +149,13 @@ func AblationBuffer(opt Options) (*Table, error) {
 	for _, mode := range []core.Mode{core.ModeORCDOF, core.ModeDOF} {
 		var baseCycles int64
 		for i, bc := range buffers {
-			cfg := core.Config{Geometry: g, Quant: p, Mode: mode,
-				IndexBits: spec.IndexBits, MaxWindows: opt.maxWindows(),
-				Workers: opt.Workers, NoCodeCache: opt.NoCodeCache,
-				Energy: energy.Default(), Buffer: bc.cfg}
-			res := core.SimulateNetwork(b.Layers, cfg)
+			cfg := config(p, g, spec.IndexBits, opt)
+			cfg.Buffer = bc.cfg
+			rs, err := simulate(b.Layers, cfg, mode)
+			if err != nil {
+				return nil, err
+			}
+			res := rs[0]
 			if i == 0 {
 				baseCycles = res.Cycles
 			}
@@ -194,8 +189,11 @@ func AblationReplication(opt Options) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		base := simulate(b, core.ModeBaseline, p, g, spec.IndexBits, opt)
-		sre := simulate(b, core.ModeORCDOF, p, g, spec.IndexBits, opt)
+		res, err := simulate(b.Layers, config(p, g, spec.IndexBits, opt), core.ModeBaseline, core.ModeORCDOF)
+		if err != nil {
+			return nil, err
+		}
+		base, sre := res[0], res[1]
 
 		demands := make([]chip.LayerDemand, len(b.Layers))
 		for i, l := range b.Layers {

@@ -9,6 +9,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -230,27 +231,37 @@ func build(spec workload.Spec, mode workload.PruneMode, p quant.Params, g mappin
 	return b, nil
 }
 
-// simulate runs one built network in one mode, sharding the simulation
-// over opt's worker width.
-func simulate(b *workload.Built, mode core.Mode, p quant.Params, g mapping.Geometry, indexBits int, opt Options) core.NetworkResult {
-	return simulateOn(b, mode, p, g, indexBits, opt, nil)
-}
-
-// simulateOn is simulate drawing from a shared pool (nil = own pool).
-func simulateOn(b *workload.Built, mode core.Mode, p quant.Params, g mapping.Geometry, indexBits int, opt Options, pool *parallel.Pool) core.NetworkResult {
-	cfg := core.Config{
+// config is the experiments' core configuration for one hardware point;
+// simulate fills in the mode.
+func config(p quant.Params, g mapping.Geometry, indexBits int, opt Options) core.Config {
+	return core.Config{
 		Geometry:    g,
 		Quant:       p,
-		Mode:        mode,
 		IndexBits:   indexBits,
 		MaxWindows:  opt.maxWindows(),
 		Workers:     opt.Workers,
-		Pool:        pool,
 		Energy:      energy.Default(),
 		Metrics:     opt.Metrics,
 		NoCodeCache: opt.NoCodeCache,
 	}
-	return core.SimulateNetwork(b.Layers, cfg)
+}
+
+// simulate runs layers under cfg once per mode, overlapping the modes
+// on one shared worker pool of cfg.Workers, and returns the results in
+// mode order.
+func simulate(layers []core.Layer, cfg core.Config, modes ...core.Mode) ([]core.NetworkResult, error) {
+	ctx := context.Background()
+	cfg.Pool = parallel.New(cfg.Workers)
+	out := make([]core.NetworkResult, len(modes))
+	errs := make([]error, len(modes)+1)
+	errs[len(modes)] = cfg.Pool.For(ctx, len(modes), func(start, end int) {
+		for i := start; i < end; i++ {
+			mcfg := cfg
+			mcfg.Mode = modes[i]
+			out[i], errs[i] = core.SimulateNetworkContext(ctx, layers, mcfg)
+		}
+	})
+	return out, errors.Join(errs...)
 }
 
 // sslModes are the Fig. 17/18 comparison set, baseline first.
@@ -259,21 +270,18 @@ var sslModes = []core.Mode{
 	core.ModeORC, core.ModeDOF, core.ModeORCDOF,
 }
 
-// modeResults runs a built network through the paper's six core modes, overlapping
-// the modes on one shared worker pool.
-func modeResults(b *workload.Built, spec workload.Spec, p quant.Params, g mapping.Geometry, opt Options) map[string]core.NetworkResult {
-	pool := parallel.New(opt.Workers)
-	res := make([]core.NetworkResult, len(sslModes))
-	pool.For(context.Background(), len(sslModes), func(start, end int) {
-		for i := start; i < end; i++ {
-			res[i] = simulateOn(b, sslModes[i], p, g, spec.IndexBits, opt, pool)
-		}
-	})
+// modeResults runs a built network through the paper's six core modes,
+// keyed by mode name.
+func modeResults(b *workload.Built, spec workload.Spec, p quant.Params, g mapping.Geometry, opt Options) (map[string]core.NetworkResult, error) {
+	res, err := simulate(b.Layers, config(p, g, spec.IndexBits, opt), sslModes...)
+	if err != nil {
+		return nil, err
+	}
 	out := make(map[string]core.NetworkResult, len(sslModes))
 	for i, m := range sslModes {
 		out[m.String()] = res[i]
 	}
-	return out
+	return out, nil
 }
 
 func f2(v float64) string  { return fmt.Sprintf("%.2f", v) }

@@ -25,7 +25,10 @@ func Fig17(opt Options) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		res := modeResults(b, spec, p, g, opt)
+		res, err := modeResults(b, spec, p, g, opt)
+		if err != nil {
+			return nil, err
+		}
 		base := float64(res["baseline"].Cycles)
 		row := []string{spec.Name}
 		for _, m := range []string{"naive", "recom", "orc", "dof", "orc+dof"} {
@@ -60,7 +63,10 @@ func Fig18(opt Options) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		res := modeResults(b, spec, p, g, opt)
+		res, err := modeResults(b, spec, p, g, opt)
+		if err != nil {
+			return nil, err
+		}
 		base := res["baseline"].Energy.Total()
 		for _, m := range []string{"naive", "recom", "orc", "dof", "orc+dof"} {
 			e := res[m].Energy
@@ -106,8 +112,11 @@ func Fig21(opt Options) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			base := simulate(b, core.ModeBaseline, p, g, spec.IndexBits, opt)
-			sre := simulate(b, core.ModeORCDOF, p, g, spec.IndexBits, opt)
+			res, err := simulate(b.Layers, config(p, g, spec.IndexBits, opt), core.ModeBaseline, core.ModeORCDOF)
+			if err != nil {
+				return nil, err
+			}
+			base, sre := res[0], res[1]
 			vals = append(vals, pair{base.Energy.Total(), sre.Energy.Total()})
 		}
 		for i, ou := range sizes {
@@ -138,8 +147,11 @@ func Fig22(opt Options) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			base := simulate(b, core.ModeBaseline, p, g, spec.IndexBits, opt)
-			sre := simulate(b, core.ModeORCDOF, p, g, spec.IndexBits, opt)
+			res, err := simulate(b.Layers, config(p, g, spec.IndexBits, opt), core.ModeBaseline, core.ModeORCDOF)
+			if err != nil {
+				return nil, err
+			}
+			base, sre := res[0], res[1]
 			s := float64(base.Cycles) / float64(sre.Cycles)
 			perBPC[cb] = append(perBPC[cb], s)
 			t.AddRow(spec.Name, fmt.Sprintf("%d", cb), f2(s))
@@ -177,10 +189,12 @@ func Fig23(opt Options) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		base := simulate(b, core.ModeBaseline, p, g, spec.IndexBits, opt)
-		orc := simulate(b, core.ModeORC, p, g, spec.IndexBits, opt)
-		dof := simulate(b, core.ModeDOF, p, g, spec.IndexBits, opt)
-		both := simulate(b, core.ModeORCDOF, p, g, spec.IndexBits, opt)
+		res, err := simulate(b.Layers, config(p, g, spec.IndexBits, opt),
+			core.ModeBaseline, core.ModeORC, core.ModeDOF, core.ModeORCDOF)
+		if err != nil {
+			return nil, err
+		}
+		base, orc, dof, both := res[0], res[1], res[2], res[3]
 		bc, be := float64(base.Cycles), base.Energy.Total()
 		t.AddRow(spec.Name,
 			f2(bc/float64(orc.Cycles)), f2(bc/float64(dof.Cycles)), f2(bc/float64(both.Cycles)),
@@ -207,8 +221,11 @@ func Fig24(opt Options) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		sre := simulate(b, core.ModeORCDOF, p, g, spec.IndexBits, opt)
-		base := simulate(b, core.ModeBaseline, p, g, spec.IndexBits, opt)
+		res, err := simulate(b.Layers, config(p, g, spec.IndexBits, opt), core.ModeORCDOF, core.ModeBaseline)
+		if err != nil {
+			return nil, err
+		}
+		sre, base := res[0], res[1]
 		icfg := isaac.DefaultConfig()
 		icfg.Geometry, icfg.Quant = g, p
 		icfg.Energy = energy.Default()
@@ -255,12 +272,13 @@ func WSSComposability(opt Options) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		var ref core.NetworkResult
+		results, err := simulate(b.Layers, config(p, g, spec.IndexBits, opt), modes...)
+		if err != nil {
+			return nil, err
+		}
+		ref := results[0]
 		for i, m := range modes {
-			res := simulate(b, m, p, g, spec.IndexBits, opt)
-			if i == 0 {
-				ref = res
-			}
+			res := results[i]
 			s := float64(ref.Cycles) / float64(res.Cycles)
 			t.AddRow(spec.Name, m.String(), fmt.Sprintf("%d", res.Cycles), f2(s),
 				fmt.Sprintf("%.3g", res.Energy.Total()), f3(res.Energy.Total()/ref.Energy.Total()))

@@ -6,11 +6,12 @@
 // arrives meanwhile, runs the union as a single sweep (one pass over
 // the shared window-code planes and plan caches instead of one per
 // request), and fans the per-(seed, mode) results back out to each
-// waiter. Requests that differ only in their activation seed still
-// coalesce: the union runs as one batched multi-activation sweep
-// (sre.RunBatchContext), which shares all activation-independent work
-// across the seeds, so the sweep is sub-linear in the number of
-// distinct seeds.
+// waiter. Every sweep is one sre.RunBatchContext call over the union's
+// modes and activation seeds; requests that differ only in their
+// activation seed still coalesce, because the batched sweep shares all
+// activation-independent work across the seeds and is sub-linear in
+// the number of distinct seeds. A batch whose waiters all want the
+// network's own activations is a batch of one set.
 //
 // Result cache: because runs are deterministic, a (BatchKey, mode,
 // act_seed) cell that has been swept before needs no sweep at all. A
@@ -22,7 +23,7 @@
 //
 // Deadlines: each waiter gives up individually when its own context
 // ends — a 504 for that request only. The sweep itself is cancelled
-// (through the sre.RunContext cancellation path) only when every
+// (through the sre.RunBatchContext cancellation path) only when every
 // waiter has abandoned it, so one impatient client cannot kill a
 // result another client is still waiting for.
 package serve
@@ -244,30 +245,6 @@ func (b *Batcher) exec(key BatchKey, bt *batch) {
 		sre.WithIndexBits(key.IndexBits),
 		sre.WithWorkers(b.workers),
 	}, b.opts...)
-	byAct := make(map[uint64]map[sre.Mode]sre.Result, len(bt.acts))
-	if len(bt.acts) == 1 && bt.acts[0] == 0 {
-		// Every waiter wants the network's own activations: the plain
-		// mode sweep (the historical path, byte-identical responses).
-		results, err := net.RunModesContext(runCtx, bt.modes, opts...)
-		if err != nil {
-			deliver(batchResult{err: err})
-			return
-		}
-		byMode := make(map[sre.Mode]sre.Result, len(results))
-		for _, r := range results {
-			// Strip the sweep-wide metrics snapshot: responses must be
-			// bit-identical to a direct run, and /metrics serves the
-			// aggregate view.
-			r.Metrics = nil
-			byMode[r.Mode] = r
-		}
-		byAct[0] = byMode
-		b.populate(key, byAct)
-		deliver(batchResult{byAct: byAct})
-		return
-	}
-	// Waiters differ (only) in their activation seed: run the union as
-	// one batched multi-activation sweep and fan out per (seed, mode).
 	sets := make([]sre.ActivationSet, len(bt.acts))
 	for i, seed := range bt.acts {
 		sets[i] = sre.ActivationSet{ActSeed: seed}
@@ -277,9 +254,13 @@ func (b *Batcher) exec(key BatchKey, bt *batch) {
 		deliver(batchResult{err: err})
 		return
 	}
+	byAct := make(map[uint64]map[sre.Mode]sre.Result, len(bt.acts))
 	for i, seed := range bt.acts {
 		byMode := make(map[sre.Mode]sre.Result, len(grid[i]))
 		for _, r := range grid[i] {
+			// Strip the sweep-wide metrics snapshot: responses must be
+			// bit-identical to a direct run, and /metrics serves the
+			// aggregate view.
 			r.Metrics = nil
 			byMode[r.Mode] = r
 		}

@@ -485,8 +485,8 @@ func TestHealthz(t *testing.T) {
 // multi-activation tentpole: requests that differ only in act_seed
 // must coalesce into ONE sweep (one batched RunBatchContext under the
 // hood), and each requester's results must be bit-identical to the
-// same request swept alone — including the act_seed 0 requester, whose
-// solo path is the historical RunModesContext sweep.
+// same request swept alone — a one-set RunBatchContext sweep, for the
+// act_seed 0 requester too.
 func TestActSeedCoalescing(t *testing.T) {
 	reqBody := func(seed uint64) string {
 		return fmt.Sprintf(

@@ -783,7 +783,11 @@ func (n *Network) Run(mode Mode) (Result, error) {
 // seed, prune style) are rejected. The simulation stops early and
 // returns ctx.Err when the context is cancelled.
 func (n *Network) RunContext(ctx context.Context, mode Mode, opts ...Option) (Result, error) {
-	return n.runContext(ctx, mode, nil, opts)
+	grid, err := n.RunBatchContext(ctx, []Mode{mode}, []ActivationSet{{}}, opts...)
+	if err != nil {
+		return Result{}, err
+	}
+	return grid[0][0], nil
 }
 
 // runSettings resolves per-run options against the build-time config,
@@ -796,82 +800,6 @@ func (n *Network) runSettings(opts []Option) (settings, error) {
 			"sre: run option would change the built network (geometry, precision, seed, or prune style); pass it to Load/Build instead")
 	}
 	return s, nil
-}
-
-func (n *Network) runContext(ctx context.Context, mode Mode, pool *parallel.Pool, opts []Option) (Result, error) {
-	cm, err := mode.coreMode()
-	if err != nil {
-		return Result{}, err
-	}
-	s, err := n.runSettings(opts)
-	if err != nil {
-		return Result{}, err
-	}
-	indexBits := n.indexBitsFor(s.cfg)
-	cfg := core.Config{
-		Geometry:    n.cfg.geometry(),
-		Quant:       n.cfg.params(),
-		Mode:        cm,
-		IndexBits:   indexBits,
-		MaxWindows:  s.cfg.MaxWindows,
-		Workers:     s.cfg.Workers,
-		Pool:        pool,
-		Energy:      energy.Default(),
-		NoC:         noc.Default(),
-		Metrics:     s.metrics,
-		NoCodeCache: s.noCodeCache,
-	}
-	if s.progress != nil {
-		progress := s.progress
-		cfg.Progress = func(ev core.ProgressEvent) {
-			progress(Progress{
-				Network: n.name, Mode: mode,
-				LayerIndex: ev.Index, LayerCount: ev.Count, LayersDone: ev.Done,
-				Layer: LayerResult{Name: ev.Layer.Name, Cycles: ev.Layer.Cycles,
-					Seconds: ev.Layer.Time, Energy: Breakdown(ev.Layer.Energy)},
-				OUEvents: ev.Layer.OUEvents,
-				Windows:  ev.Layer.Windows,
-				Sampled:  ev.Layer.Sampled,
-			})
-		}
-	}
-	res, err := core.SimulateNetworkContext(ctx, n.built.Layers, cfg)
-	if err != nil {
-		return Result{}, err
-	}
-	out := Result{
-		Version: ResultVersion,
-		Network: n.name,
-		Mode:    mode,
-		Cycles:  res.Cycles,
-		Seconds: res.Time,
-		Energy:  Breakdown(res.Energy),
-	}
-	for _, lr := range res.Layers {
-		out.Layers = append(out.Layers, LayerResult{
-			Name: lr.Name, Cycles: lr.Cycles, Seconds: lr.Time,
-			Energy: Breakdown(lr.Energy),
-		})
-	}
-	// Compression ratio, index storage, and elided groups of the mode's
-	// weight scheme.
-	var totalCells, compCells int64
-	var storage, elided int64
-	for _, l := range n.built.Layers {
-		totalCells += l.Struct.Layout.TotalCells()
-		compCells += l.Struct.CompressedCells(cm.Scheme, indexBits)
-		storage += l.Struct.IndexStorageBits(cm.Scheme, indexBits)
-		elided += l.Struct.EmptyGroups(cm.Scheme, indexBits)
-	}
-	if compCells > 0 {
-		out.CompressionRatio = float64(totalCells) / float64(compCells)
-	}
-	out.IndexStorageBits = storage
-	out.ElidedGroups = elided
-	if s.metrics != nil {
-		out.Metrics = s.metrics.Snapshot()
-	}
-	return out, nil
 }
 
 // RunAll simulates every mode concurrently and returns results in
@@ -891,43 +819,16 @@ func (n *Network) RunAllContext(ctx context.Context, opts ...Option) ([]Result, 
 // RunModesContext simulates the given modes — any non-empty subset of
 // Modes(), in any order — concurrently through one shared worker pool,
 // exactly as RunAllContext does for the full set. Results come back in
-// the order modes was given. It is the primitive sreserved's
-// micro-batcher uses to run the union of a batch's requested modes as
-// one sweep.
+// the order modes was given.
 func (n *Network) RunModesContext(ctx context.Context, modes []Mode, opts ...Option) ([]Result, error) {
 	if len(modes) == 0 {
 		return nil, fmt.Errorf("sre: RunModesContext needs at least one mode")
 	}
-	s, err := n.runSettings(opts)
+	grid, err := n.RunBatchContext(ctx, modes, []ActivationSet{{}}, opts...)
 	if err != nil {
 		return nil, err
 	}
-	pool := parallel.New(s.cfg.Workers)
-	out := make([]Result, len(modes))
-	errs := make([]error, len(modes))
-	poolErr := pool.For(ctx, len(modes), func(start, end int) {
-		for i := start; i < end; i++ {
-			out[i], errs[i] = n.runContext(ctx, modes[i], pool, opts)
-		}
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	if poolErr != nil {
-		return nil, poolErr
-	}
-	if s.metrics != nil {
-		// Per-mode snapshots taken while sibling modes were still
-		// running are partial; re-snapshot once now that every mode is
-		// done so all results agree on the sweep-wide totals.
-		snap := s.metrics.Snapshot()
-		for i := range out {
-			out[i].Metrics = snap
-		}
-	}
-	return out, nil
+	return grid[0], nil
 }
 
 // ActivationSet selects one activation assignment of a batched run
@@ -956,11 +857,11 @@ func (n *Network) RunBatch(modes []Mode, acts []ActivationSet, opts ...Option) (
 // plans, window-code and slice-mask planes, scratch arenas, and (for
 // the static modes, which never read activation values) the entire
 // simulation — so a coalesced sweep is sub-linear in the number of
-// sets. Modes run concurrently through one shared worker pool, exactly
-// as RunModesContext. Per-run options follow RunContext's rules;
-// WithProgress is not invoked on the batched path. It is the primitive
-// sreserved's micro-batcher uses to serve coalesced requests that
-// differ only in their activation seed.
+// sets. Modes run concurrently through one shared worker pool. Per-run
+// options follow RunContext's rules; WithProgress reports each mode's
+// layers once, with the first set's numbers. Every other Run method is
+// a batch of this one, and sreserved's micro-batcher serves every
+// coalesced sweep through it.
 func (n *Network) RunBatchContext(ctx context.Context, modes []Mode, acts []ActivationSet, opts ...Option) ([][]Result, error) {
 	if len(modes) == 0 {
 		return nil, fmt.Errorf("sre: RunBatchContext needs at least one mode")
@@ -968,25 +869,66 @@ func (n *Network) RunBatchContext(ctx context.Context, modes []Mode, acts []Acti
 	if len(acts) == 0 {
 		return nil, fmt.Errorf("sre: RunBatchContext needs at least one activation set")
 	}
+	cms := make([]core.Mode, len(modes))
+	for i, m := range modes {
+		cm, err := m.coreMode()
+		if err != nil {
+			return nil, err
+		}
+		cms[i] = cm
+	}
+	return n.run(ctx, n.built.Layers, cms, acts, opts)
+}
+
+// run is the one run path behind every Run method. It resolves the
+// per-run options once, builds one core.Config, simulates each mode as
+// one core batch over the activation sets — modes concurrently through
+// one shared worker pool, so total concurrency stays bounded — and
+// returns results indexed [set][mode].
+func (n *Network) run(ctx context.Context, layers []core.Layer, modes []core.Mode,
+	sets []ActivationSet, opts []Option) ([][]Result, error) {
 	s, err := n.runSettings(opts)
 	if err != nil {
 		return nil, err
 	}
-	batch := make([]core.BatchInput, len(acts))
-	for j, a := range acts {
+	batch := make([]core.BatchInput, len(sets))
+	for j, a := range sets {
 		if a.ActSeed != 0 && a.ActSeed != n.cfg.Seed {
-			batch[j].Sources = n.spec.VariantSources(n.built.Layers, a.ActSeed)
+			batch[j].Sources = n.spec.VariantSources(layers, a.ActSeed)
 		}
 	}
+	indexBits := n.indexBitsFor(s.cfg)
 	pool := parallel.New(s.cfg.Workers)
-	out := make([][]Result, len(acts))
+	cfg := core.Config{
+		Geometry:    n.cfg.geometry(),
+		Quant:       n.cfg.params(),
+		IndexBits:   indexBits,
+		MaxWindows:  s.cfg.MaxWindows,
+		Workers:     s.cfg.Workers,
+		Pool:        pool,
+		Energy:      energy.Default(),
+		NoC:         noc.Default(),
+		Metrics:     s.metrics,
+		NoCodeCache: s.noCodeCache,
+	}
+	out := make([][]Result, len(sets))
 	for j := range out {
 		out[j] = make([]Result, len(modes))
 	}
 	errs := make([]error, len(modes))
 	poolErr := pool.For(ctx, len(modes), func(start, end int) {
 		for i := start; i < end; i++ {
-			errs[i] = n.runBatchMode(ctx, modes[i], pool, s, batch, out, i)
+			mcfg := cfg
+			mcfg.Mode = modes[i]
+			if s.progress != nil {
+				mcfg.Progress = n.progressFunc(s.progress, modeOf(modes[i]))
+			}
+			ress, err := core.SimulateNetworkBatchContext(ctx, layers, mcfg, batch)
+			if err != nil {
+				errs[i] = err
+				continue
+			}
+			n.fillResults(out, i, layers, modes[i], indexBits, ress)
 		}
 	})
 	for _, err := range errs {
@@ -998,8 +940,8 @@ func (n *Network) RunBatchContext(ctx context.Context, modes []Mode, acts []Acti
 		return nil, poolErr
 	}
 	if s.metrics != nil {
-		// As in RunModesContext: re-snapshot once every mode is done so
-		// all results agree on the sweep-wide totals.
+		// One snapshot once every mode is done, so all results agree on
+		// the sweep-wide totals.
 		snap := s.metrics.Snapshot()
 		for j := range out {
 			for i := range out[j] {
@@ -1010,65 +952,64 @@ func (n *Network) RunBatchContext(ctx context.Context, modes []Mode, acts []Acti
 	return out, nil
 }
 
-// runBatchMode runs one mode of a batched sweep and fills column mi of
-// the [set][mode] result grid.
-func (n *Network) runBatchMode(ctx context.Context, mode Mode, pool *parallel.Pool,
-	s settings, batch []core.BatchInput, out [][]Result, mi int) error {
-	cm, err := mode.coreMode()
-	if err != nil {
-		return err
-	}
-	indexBits := n.indexBitsFor(s.cfg)
-	cfg := core.Config{
-		Geometry:    n.cfg.geometry(),
-		Quant:       n.cfg.params(),
-		Mode:        cm,
-		IndexBits:   indexBits,
-		MaxWindows:  s.cfg.MaxWindows,
-		Workers:     s.cfg.Workers,
-		Pool:        pool,
-		Energy:      energy.Default(),
-		NoC:         noc.Default(),
-		Metrics:     s.metrics,
-		NoCodeCache: s.noCodeCache,
-	}
-	ress, err := core.SimulateNetworkBatchContext(ctx, n.built.Layers, cfg, batch)
-	if err != nil {
-		return err
-	}
-	// The mode's compression ratio, index storage, and elided groups
-	// depend only on the weight scheme: compute once, replicate across
-	// sets.
-	var totalCells, compCells, storage, elided int64
-	for _, l := range n.built.Layers {
-		totalCells += l.Struct.Layout.TotalCells()
-		compCells += l.Struct.CompressedCells(cm.Scheme, indexBits)
-		storage += l.Struct.IndexStorageBits(cm.Scheme, indexBits)
-		elided += l.Struct.EmptyGroups(cm.Scheme, indexBits)
-	}
-	for j, res := range ress {
-		r := Result{
-			Version: ResultVersion,
-			Network: n.name,
-			Mode:    mode,
-			Cycles:  res.Cycles,
-			Seconds: res.Time,
-			Energy:  Breakdown(res.Energy),
+// modeOf returns the registry Mode that runs cm. OCC is not a registry
+// row; its results carry the zero Mode.
+func modeOf(cm core.Mode) Mode {
+	for i := range modeTable {
+		if modeTable[i].core == cm {
+			return Mode(i)
 		}
-		for _, lr := range res.Layers {
-			r.Layers = append(r.Layers, LayerResult{
-				Name: lr.Name, Cycles: lr.Cycles, Seconds: lr.Time,
-				Energy: Breakdown(lr.Energy),
-			})
+	}
+	return 0
+}
+
+// progressFunc adapts a WithProgress callback to the core's per-layer
+// events for one mode.
+func (n *Network) progressFunc(fn func(Progress), mode Mode) func(core.ProgressEvent) {
+	return func(ev core.ProgressEvent) {
+		fn(Progress{
+			Network: n.name, Mode: mode,
+			LayerIndex: ev.Index, LayerCount: ev.Count, LayersDone: ev.Done,
+			Layer:    layerResult(ev.Layer),
+			OUEvents: ev.Layer.OUEvents,
+			Windows:  ev.Layer.Windows,
+			Sampled:  ev.Layer.Sampled,
+		})
+	}
+}
+
+func layerResult(lr core.LayerResult) LayerResult {
+	return LayerResult{Name: lr.Name, Cycles: lr.Cycles, Seconds: lr.Time, Energy: Breakdown(lr.Energy)}
+}
+
+// fillResults converts one mode's core results, one per activation
+// set, into column mi of the [set][mode] grid. The compression ratio,
+// index storage and elided groups depend only on the weight scheme, so
+// they are computed once and shared across sets. OCC has no row plans;
+// RunOCC accounts its output indexes itself.
+func (n *Network) fillResults(out [][]Result, mi int, layers []core.Layer, cm core.Mode,
+	indexBits int, ress []core.NetworkResult) {
+	tmpl := Result{Version: ResultVersion, Network: n.name, Mode: modeOf(cm)}
+	if cm.Scheme != compress.OCC {
+		var totalCells, compCells int64
+		for _, l := range layers {
+			totalCells += l.Struct.Layout.TotalCells()
+			compCells += l.Struct.CompressedCells(cm.Scheme, indexBits)
+			tmpl.IndexStorageBits += l.Struct.IndexStorageBits(cm.Scheme, indexBits)
+			tmpl.ElidedGroups += l.Struct.EmptyGroups(cm.Scheme, indexBits)
 		}
 		if compCells > 0 {
-			r.CompressionRatio = float64(totalCells) / float64(compCells)
+			tmpl.CompressionRatio = float64(totalCells) / float64(compCells)
 		}
-		r.IndexStorageBits = storage
-		r.ElidedGroups = elided
+	}
+	for j, res := range ress {
+		r := tmpl
+		r.Cycles, r.Seconds, r.Energy = res.Cycles, res.Time, Breakdown(res.Energy)
+		for _, lr := range res.Layers {
+			r.Layers = append(r.Layers, layerResult(lr))
+		}
 		out[j][mi] = r
 	}
-	return nil
 }
 
 // ResultsByMode keys a RunAll result slice by mode.
@@ -1086,10 +1027,6 @@ func ResultsByMode(results []Result) map[Mode]Result {
 // per-layer OCC structures are built lazily on first call. Per-run
 // options adjust the same run-scoped knobs as RunContext.
 func (n *Network) RunOCC(opts ...Option) (Result, error) {
-	s, err := n.runSettings(opts)
-	if err != nil {
-		return Result{}, err
-	}
 	n.occMu.Lock()
 	if n.occ == nil {
 		mode, err := n.style.pruneMode()
@@ -1110,29 +1047,11 @@ func (n *Network) RunOCC(opts ...Option) (Result, error) {
 	for i := range layers {
 		layers[i].OCC = n.occ[i]
 	}
-	cfg := core.Config{
-		Geometry:    n.cfg.geometry(),
-		Quant:       n.cfg.params(),
-		Mode:        core.ModeOCC,
-		IndexBits:   n.indexBits(),
-		MaxWindows:  s.cfg.MaxWindows,
-		Workers:     s.cfg.Workers,
-		Energy:      energy.Default(),
-		NoC:         noc.Default(),
-		Metrics:     s.metrics,
-		NoCodeCache: s.noCodeCache,
+	grid, err := n.run(context.Background(), layers, []core.Mode{core.ModeOCC}, []ActivationSet{{}}, opts)
+	if err != nil {
+		return Result{}, err
 	}
-	res := core.SimulateNetwork(layers, cfg)
-	out := Result{
-		Version: ResultVersion,
-		Network: n.name,
-		Cycles:  res.Cycles,
-		Seconds: res.Time,
-		Energy:  Breakdown(res.Energy),
-	}
-	if s.metrics != nil {
-		out.Metrics = s.metrics.Snapshot()
-	}
+	out := grid[0][0]
 	var total, comp, outBits int64
 	for i := range layers {
 		total += layers[i].Struct.Layout.TotalCells()

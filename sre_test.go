@@ -300,12 +300,43 @@ func TestRunOCC(t *testing.T) {
 	if occ.IndexStorageBits <= 0 {
 		t.Fatal("OCC must report output-index storage")
 	}
-	// Lazy structures are cached: second run must agree.
-	again, err := net.RunOCC()
+	// OCC runs through the same run path as every registry mode: one
+	// result per layer, reducing to the network total the way the core
+	// reduces them (a run of layers sharing a ParallelGroup costs its
+	// slowest member).
+	if len(occ.Layers) != net.LayerCount() {
+		t.Fatalf("OCC reports %d layers, network has %d", len(occ.Layers), net.LayerCount())
+	}
+	var cycles int64
+	layers := net.built.Layers
+	for i := 0; i < len(layers); {
+		j := i + 1
+		if g := layers[i].ParallelGroup; g != "" {
+			for j < len(layers) && layers[j].ParallelGroup == g {
+				j++
+			}
+		}
+		var slowest int64
+		for k := i; k < j; k++ {
+			slowest = max(slowest, occ.Layers[k].Cycles)
+		}
+		cycles += slowest
+		i = j
+	}
+	if cycles != occ.Cycles {
+		t.Fatalf("OCC layer cycles reduce to %d, result reports %d", cycles, occ.Cycles)
+	}
+	// Lazy structures are cached: second run must agree, and WithProgress
+	// fires once per layer.
+	events := 0
+	again, err := net.RunOCC(WithProgress(func(Progress) { events++ }))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if again.Cycles != occ.Cycles {
 		t.Fatal("RunOCC not deterministic")
+	}
+	if events != net.LayerCount() {
+		t.Fatalf("WithProgress fired %d times, want %d", events, net.LayerCount())
 	}
 }
