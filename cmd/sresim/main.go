@@ -72,10 +72,9 @@ func main() {
 		return
 	}
 	if *modes {
-		for _, m := range sre.Modes() {
+		for _, m := range append(sre.Modes(), sre.OCC) {
 			fmt.Println(m)
 		}
-		fmt.Println("occ")
 		return
 	}
 
@@ -116,15 +115,9 @@ func main() {
 
 	base, err := net.RunContext(ctx, sre.Baseline, runOpts...)
 	fatal(err)
-	var res sre.Result
-	if strings.ToLower(*modeName) == "occ" {
-		res, err = net.RunOCC(runOpts...)
-	} else {
-		var mode sre.Mode
-		mode, err = sre.ParseMode(*modeName)
-		fatal(err)
-		res, err = net.RunContext(ctx, mode, runOpts...)
-	}
+	mode, err := sre.ParseMode(*modeName)
+	fatal(err)
+	res, err := net.RunContext(ctx, mode, runOpts...)
 	fatal(err)
 
 	if reg != nil {
@@ -157,15 +150,15 @@ func main() {
 }
 
 // modeHelp derives the -mode usage string from the registry, so a
-// newly registered mode shows up in -help without touching this file.
-// occ is appended by hand: it is not a registry row, and -mode occ
-// selects RunOCC, which builds the OCC structures it needs lazily.
+// newly registered sweep mode shows up in -help without touching this
+// file. OCC is a registry row too, but an opt-in one that Modes leaves
+// out, so it is appended here by its constant.
 func modeHelp() string {
-	names := make([]string, 0, len(sre.Modes())+1)
-	for _, m := range sre.Modes() {
+	var names []string
+	for _, m := range append(sre.Modes(), sre.OCC) {
 		names = append(names, m.String())
 	}
-	return strings.Join(append(names, "occ"), "|")
+	return strings.Join(names, "|")
 }
 
 func fatal(err error) {

@@ -89,6 +89,10 @@ func (s Scheme) ReordersInputs() bool { return s == ORC || s == WSS }
 // scheme composes.
 func (s Scheme) ComposesWithDOF() bool { return s != OCC }
 
+// RequiresOCC reports whether the scheme reads the column-compressed
+// companion structure (OCCStructure) instead of row plans. Only OCC.
+func (s Scheme) RequiresOCC() bool { return s == OCC }
+
 // RequiresSlicePlanes reports whether the scheme needs the structure's
 // weight-slice group planes (built by Build, carried by snapshots as a
 // separate plane section). Only WSS reads them.
@@ -604,12 +608,12 @@ func (s *Structure) ChooseIndexBits(lossFrac float64) int {
 	return maxBits
 }
 
-// SNrramCompressedCells models SNrram's [44] filter-grained column
+// SNrramCells models SNrram's [44] filter-grained column
 // compression: each logical column splits into segments of segRows rows
 // (filter height × width for conv layers; 1 for FC), and all-zero
 // segments are removed. Works at weight granularity, matching the
 // model-based scheme it mimics.
-func SNrramCompressedCells(src Source, p quant.Params, segRows int) int64 {
+func SNrramCells(src Source, p quant.Params, segRows int) int64 {
 	rows, cols := src.Dims()
 	if segRows <= 0 {
 		segRows = 1

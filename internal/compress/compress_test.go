@@ -251,7 +251,7 @@ func TestSNrramCompressedCells(t *testing.T) {
 		3, 1,
 		0, 2,
 	})
-	got := SNrramCompressedCells(src, oneCell, 2)
+	got := SNrramCells(src, oneCell, 2)
 	// Kept segments: col0 seg1 (2 rows) + col1 both segs (4 rows) = 6
 	// weights × 1 cell.
 	if got != 6 {
@@ -259,7 +259,7 @@ func TestSNrramCompressedCells(t *testing.T) {
 	}
 	// Ragged tail: 3 rows with segRows 2 → final 1-row segment.
 	src2 := codeSource(3, 1, []uint32{0, 0, 7})
-	if got := SNrramCompressedCells(src2, oneCell, 2); got != 1 {
+	if got := SNrramCells(src2, oneCell, 2); got != 1 {
 		t.Fatalf("ragged SNrram kept %d, want 1", got)
 	}
 }

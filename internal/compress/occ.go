@@ -114,13 +114,20 @@ func (s *OCCStructure) CompressedCells() int64 {
 	return cells
 }
 
-// CompressionRatio returns originalCells / compressedCells.
-func (s *OCCStructure) CompressionRatio() float64 {
-	comp := s.CompressedCells()
-	if comp == 0 {
-		comp = 1
+// SizeBytes estimates the structure's resident memory the way
+// Structure.SizeBytes does: the per-(row band, tile) column masks plus
+// per-mask bitset headers and a fixed bookkeeping constant.
+func (s *OCCStructure) SizeBytes() int64 {
+	lay := s.Layout
+	var words, masks int64
+	for rb := 0; rb < lay.RowBlocks; rb++ {
+		bands := int64(s.Bands(rb))
+		for cb := 0; cb < lay.ColBlocks; cb++ {
+			words += bands * int64(bitset.Words64(lay.TileCols(cb)))
+			masks += bands
+		}
 	}
-	return float64(s.Layout.TotalCells()) / float64(comp)
+	return words*8 + masks*48 + 512
 }
 
 // OutputIndexBits returns the output-indexing storage OCC needs: every

@@ -34,7 +34,7 @@ func TestFigure8OCCExample(t *testing.T) {
 	if s.CompressedCells() != 3*2+3*2 {
 		t.Fatalf("compressed cells = %d, want 12", s.CompressedCells())
 	}
-	if s.CompressionRatio() <= 1 {
+	if occRatio(s) <= 1 {
 		t.Fatal("OCC must compress this matrix")
 	}
 }
@@ -104,6 +104,12 @@ func TestOCCMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// occRatio is an OCC structure's compression ratio, as the simulator's
+// footprint (core.FootprintOf) reports it.
+func occRatio(s *OCCStructure) float64 {
+	return float64(s.Layout.TotalCells()) / float64(s.CompressedCells())
+}
+
 // TestOCCComparableToORCOnColumnStructure: weights with column-structured
 // zeros favour OCC; row-structured zeros favour ORC. Both must beat 1 on
 // their own structure.
@@ -133,14 +139,14 @@ func TestOCCvsORCStructuralAffinity(t *testing.T) {
 	if rowSt.CompressionRatio(ORC, 0) < 1.9 {
 		t.Fatalf("ORC missed row structure: %v", rowSt.CompressionRatio(ORC, 0))
 	}
-	if rowOCC.CompressionRatio() > rowSt.CompressionRatio(ORC, 0) {
+	if occRatio(rowOCC) > rowSt.CompressionRatio(ORC, 0) {
 		t.Fatal("OCC should not beat ORC on row-structured zeros")
 	}
 	colSt, colOCC := mk(false)
-	if colOCC.CompressionRatio() < 1.9 {
-		t.Fatalf("OCC missed column structure: %v", colOCC.CompressionRatio())
+	if occRatio(colOCC) < 1.9 {
+		t.Fatalf("OCC missed column structure: %v", occRatio(colOCC))
 	}
-	if colSt.CompressionRatio(ORC, 0) > colOCC.CompressionRatio() {
+	if colSt.CompressionRatio(ORC, 0) > occRatio(colOCC) {
 		t.Fatal("ORC should not beat OCC on column-structured zeros")
 	}
 }
@@ -157,5 +163,30 @@ func TestOCCOutputIndexBits(t *testing.T) {
 	// 6 retained columns × log2(4)=2 bits.
 	if got := s.OutputIndexBits(); got != 12 {
 		t.Fatalf("output index bits = %d, want 12", got)
+	}
+}
+
+// TestOCCSizeBytes checks the geometry-derived estimate against the
+// masks the builder actually allocated.
+func TestOCCSizeBytes(t *testing.T) {
+	r := xrand.New(5)
+	p := quant.Params{WBits: 8, ABits: 8, CellBits: 2, DACBits: 1}
+	g := mapping.Geometry{XbarRows: 32, XbarCols: 24, SWL: 8, SBL: 4}
+	codes := &CodeSource{Rows: 70, Cols: 20, Codes: make([]uint32, 70*20)}
+	for i := range codes.Codes {
+		codes.Codes[i] = uint32(r.Intn(1 << 8))
+	}
+	s := BuildOCC(codes, p, g)
+	var words, masks int64
+	for rb := range s.cols {
+		for cb := range s.cols[rb] {
+			for _, band := range s.cols[rb][cb] {
+				words += int64(len(band.Words()))
+				masks++
+			}
+		}
+	}
+	if want := words*8 + masks*48 + 512; s.SizeBytes() != want {
+		t.Fatalf("SizeBytes = %d, allocated masks give %d", s.SizeBytes(), want)
 	}
 }

@@ -377,6 +377,47 @@ type Layer struct {
 	ParallelGroup string
 }
 
+// Footprint is the static weight-storage footprint of a layer slice
+// under one compression scheme.
+type Footprint struct {
+	TotalCells  int64 // cells of the uncompressed mapping
+	Cells       int64 // cells the scheme maps, fillers included
+	IndexBits   int64 // index storage: input indexes, or output indexes under OCC
+	EmptyGroups int64 // OU column groups the scheme retains no rows for
+}
+
+// Ratio returns the weight compression ratio TotalCells/Cells (Fig. 20),
+// or 0 when the scheme maps no cells.
+func (f Footprint) Ratio() float64 {
+	if f.Cells == 0 {
+		return 0
+	}
+	return float64(f.TotalCells) / float64(f.Cells)
+}
+
+// FootprintOf sums the layers' static footprint under scheme. OCC reads
+// each layer's OCC structure and fails when one is missing; every other
+// scheme reads the row structure, whose totals are memoized per
+// (scheme, indexBits).
+func FootprintOf(layers []Layer, scheme compress.Scheme, indexBits int) (Footprint, error) {
+	var f Footprint
+	for _, l := range layers {
+		f.TotalCells += l.Struct.Layout.TotalCells()
+		if scheme.RequiresOCC() {
+			if l.OCC == nil {
+				return Footprint{}, fmt.Errorf("core: layer %q: OCC footprint needs Layer.OCC (compress.BuildOCC)", l.Name)
+			}
+			f.Cells += l.OCC.CompressedCells()
+			f.IndexBits += l.OCC.OutputIndexBits()
+			continue
+		}
+		f.Cells += l.Struct.CompressedCells(scheme, indexBits)
+		f.IndexBits += l.Struct.IndexStorageBits(scheme, indexBits)
+		f.EmptyGroups += l.Struct.EmptyGroups(scheme, indexBits)
+	}
+	return f, nil
+}
+
 // LayerResult reports one layer under one config.
 type LayerResult struct {
 	Name     string
@@ -576,7 +617,7 @@ func validateModeLayer(l Layer, cfg Config) error {
 			"core: layer %q: mode %v needs weight bit-slice planes (structure predates them or was decoded without slice planes)",
 			l.Name, cfg.Mode)
 	}
-	if cfg.Mode.Scheme == compress.OCC && l.OCC == nil {
+	if cfg.Mode.Scheme.RequiresOCC() && l.OCC == nil {
 		return fmt.Errorf(
 			"core: layer %q: OCC mode needs Layer.OCC (compress.BuildOCC)", l.Name)
 	}

@@ -119,3 +119,40 @@ func TestBufferStalls(t *testing.T) {
 		t.Fatalf("starved buffer did not slow the layer: %d vs %d", starved.Cycles, ideal.Cycles)
 	}
 }
+
+// TestFootprintOf checks the one footprint function: OCC reads each
+// layer's OCC structure (output indexes, no empty groups) and fails
+// without one; the row schemes read the row structure.
+func TestFootprintOf(t *testing.T) {
+	l := buildOCCCase(t, 4)
+	occ, err := FootprintOf([]Layer{l, l}, compress.OCC, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Footprint{TotalCells: 2 * l.Struct.Layout.TotalCells(),
+		Cells: 2 * l.OCC.CompressedCells(), IndexBits: 2 * l.OCC.OutputIndexBits()}
+	if occ != want {
+		t.Fatalf("OCC footprint %+v, want %+v", occ, want)
+	}
+	if want := float64(want.TotalCells) / float64(want.Cells); occ.Ratio() != want {
+		t.Fatalf("OCC ratio %v, want %v", occ.Ratio(), want)
+	}
+	orc, err := FootprintOf([]Layer{l}, compress.ORC, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want = Footprint{TotalCells: l.Struct.Layout.TotalCells(),
+		Cells:       l.Struct.CompressedCells(compress.ORC, 5),
+		IndexBits:   l.Struct.IndexStorageBits(compress.ORC, 5),
+		EmptyGroups: l.Struct.EmptyGroups(compress.ORC, 5)}
+	if orc != want {
+		t.Fatalf("ORC footprint %+v, want %+v", orc, want)
+	}
+	if (Footprint{TotalCells: 8}).Ratio() != 0 {
+		t.Fatal("a scheme that maps no cells must report ratio 0")
+	}
+	l.OCC = nil
+	if _, err := FootprintOf([]Layer{l}, compress.OCC, 0); err == nil {
+		t.Fatal("OCC footprint without OCC structures must fail")
+	}
+}

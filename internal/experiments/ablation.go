@@ -32,13 +32,9 @@ func AblationIndexBits(opt Options) (*Table, error) {
 			return nil, err
 		}
 		ratioAt := func(bits int) (ratio float64, storage int64) {
-			var cells, total, bitsSum int64
-			for _, l := range b.Layers {
-				cells += l.Struct.CompressedCells(compress.ORC, bits)
-				total += l.Struct.Layout.TotalCells()
-				bitsSum += l.Struct.IndexStorageBits(compress.ORC, bits)
-			}
-			return float64(total) / float64(maxI64(cells, 1)), bitsSum
+			// Only OCC footprints can fail; ORC reads the row structure.
+			fp, _ := core.FootprintOf(b.Layers, compress.ORC, bits)
+			return fp.Ratio(), fp.IndexBits
 		}
 		unpadded, _ := ratioAt(0)
 		// Re-derive the paper's choice with the 10% rule over the whole
@@ -82,20 +78,17 @@ func AblationOCC(opt Options) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		occs, err := spec.BuildOCCStructures(workload.SSL, p, g, opt.Seed)
+		layers, err := spec.AttachOCC(b.Layers, workload.SSL, p, g, opt.Seed)
 		if err != nil {
 			return nil, err
 		}
-		layers := make([]core.Layer, len(b.Layers))
-		copy(layers, b.Layers)
-		var orcCells, occCells, total, inBits, outBits int64
-		for i := range layers {
-			layers[i].OCC = occs[i]
-			orcCells += layers[i].Struct.CompressedCells(compress.ORC, spec.IndexBits)
-			occCells += occs[i].CompressedCells()
-			total += layers[i].Struct.Layout.TotalCells()
-			inBits += layers[i].Struct.IndexStorageBits(compress.ORC, spec.IndexBits)
-			outBits += occs[i].OutputIndexBits()
+		orcFp, err := core.FootprintOf(layers, compress.ORC, spec.IndexBits)
+		if err != nil {
+			return nil, err
+		}
+		occFp, err := core.FootprintOf(layers, compress.OCC, 0)
+		if err != nil {
+			return nil, err
 		}
 		res, err := simulate(layers, config(p, g, spec.IndexBits, opt),
 			core.ModeBaseline, core.ModeORC, core.ModeOCC, core.ModeORCDOF)
@@ -105,13 +98,13 @@ func AblationOCC(opt Options) (*Table, error) {
 		base, orc, occ, both := res[0], res[1], res[2], res[3]
 		bc := float64(base.Cycles)
 		t.AddRow(spec.Name,
-			f2(float64(total)/float64(maxI64(orcCells, 1))),
-			f2(float64(total)/float64(maxI64(occCells, 1))),
+			f2(orcFp.Ratio()),
+			f2(occFp.Ratio()),
 			f2(bc/float64(orc.Cycles)),
 			f2(bc/float64(occ.Cycles)),
 			f2(bc/float64(both.Cycles)),
-			fmt.Sprintf("%.1f", float64(inBits)/8/1024),
-			fmt.Sprintf("%.1f", float64(outBits)/8/1024))
+			fmt.Sprintf("%.1f", float64(orcFp.IndexBits)/8/1024),
+			fmt.Sprintf("%.1f", float64(occFp.IndexBits)/8/1024))
 	}
 	t.Notes = append(t.Notes,
 		"SSL's zero structure is row-shaped, so OCC finds little to remove here; even where it could, it needs per-column output indexing and cannot combine with DOF (Fig. 10) — the orc+dof column is unreachable for it")

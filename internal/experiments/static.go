@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"sre/internal/compress"
+	"sre/internal/core"
 	"sre/internal/energy"
 	"sre/internal/mapping"
 	"sre/internal/quant"
@@ -73,12 +74,12 @@ func Fig4(opt Options) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		var ideal, total int64
-		for _, l := range b.Layers {
-			ideal += l.Struct.CompressedCells(compress.Ideal, 0)
-			total += l.Struct.Layout.TotalCells()
+		ideal, err := core.FootprintOf(b.Layers, compress.Ideal, 0)
+		if err != nil {
+			return nil, err
 		}
-		t.AddRow("weight density", fmt.Sprintf("%d bits/cell", cb), f3(float64(ideal)/float64(total)))
+		t.AddRow("weight density", fmt.Sprintf("%d bits/cell", cb),
+			f3(float64(ideal.Cells)/float64(ideal.TotalCells)))
 	}
 	// Input density vs DAC resolution (Fig. 4b) over sampled activations.
 	for _, dac := range []int{1, 2, 4, 8} {
@@ -154,33 +155,26 @@ func Fig20(opt Options) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			var orcCells, idealCells, total int64
-			for _, l := range b.Layers {
-				orcCells += l.Struct.CompressedCells(compress.ORC, spec.IndexBits)
-				idealCells += l.Struct.CompressedCells(compress.Ideal, 0)
-				total += l.Struct.Layout.TotalCells()
+			orc, err := core.FootprintOf(b.Layers, compress.ORC, spec.IndexBits)
+			if err != nil {
+				return nil, err
 			}
-			snr := ""
-			ideal := ""
+			snr, ideal := "", ""
 			if si == 0 {
 				// SNrram and ideal are OU-independent; print once per net.
-				snr = f2(float64(total) / float64(maxI64(b.SNrramCells(), 1)))
-				ideal = f2(float64(total) / float64(maxI64(idealCells, 1)))
+				fp, err := core.FootprintOf(b.Layers, compress.Ideal, 0)
+				if err != nil {
+					return nil, err
+				}
+				snr = f2(float64(orc.TotalCells) / float64(max(b.SNrramCells(), 1)))
+				ideal = f2(fp.Ratio())
 			}
-			t.AddRow(spec.Name, fmt.Sprintf("%dx%d", ou, ou),
-				f2(float64(total)/float64(maxI64(orcCells, 1))), snr, ideal)
+			t.AddRow(spec.Name, fmt.Sprintf("%dx%d", ou, ou), f2(orc.Ratio()), snr, ideal)
 		}
 	}
 	t.Notes = append(t.Notes,
 		"ORC ratio grows as OU shrinks and approaches the ideal bound at 2x2 (paper Fig. 20)")
 	return t, nil
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Overhead reports the synthesized Index Decoder and WLVG area/power and

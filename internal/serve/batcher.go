@@ -239,7 +239,6 @@ func (b *Batcher) exec(key BatchKey, bt *batch) {
 		deliver(batchResult{err: err})
 		return
 	}
-	defer release() // unpin: the registry may evict once the sweep is done
 	opts := append([]sre.Option{
 		sre.WithMaxWindows(key.MaxWindows),
 		sre.WithIndexBits(key.IndexBits),
@@ -250,6 +249,9 @@ func (b *Batcher) exec(key BatchKey, bt *batch) {
 		sets[i] = sre.ActivationSet{ActSeed: seed}
 	}
 	grid, err := net.RunBatchContext(runCtx, bt.modes, sets, opts...)
+	// Unpin before delivering, so a client holding its response already
+	// sees the refreshed size and pin count in /v1/networks.
+	release()
 	if err != nil {
 		deliver(batchResult{err: err})
 		return

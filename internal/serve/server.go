@@ -198,9 +198,10 @@ func (s *Server) Drain(ctx context.Context) error {
 
 // SimulateRequest is the POST /v1/simulate body. Exactly the canonical
 // spellings the CLIs use: modes via sre.ParseMode (the registry's full
-// list — "baseline" through "orc+dof+wss"), prune styles via
-// sre.ParsePruneStyle. An unknown mode spelling is a 400 whose error
-// body names the rejected mode and the accepted list.
+// list — "baseline" through "orc+dof+wss", plus the opt-in "occ" that
+// "all" leaves out), prune styles via sre.ParsePruneStyle. An unknown
+// mode spelling is a 400 whose error body names the rejected mode and
+// the accepted list.
 type SimulateRequest struct {
 	// Network is a Table 2 name (GET /v1/networks lists them).
 	Network string `json:"network"`
@@ -279,7 +280,10 @@ func (o ConfigOverrides) apply(cfg sre.Config) sre.Config {
 // (the sweep-wide metrics snapshot is stripped — scrape /metrics for
 // the aggregate view). Each Result carries its wire-format version
 // (sre.ResultVersion, currently 2: version 2 added the "wss" and
-// "orc+dof+wss" mode spellings and the elided-group count).
+// "orc+dof+wss" mode spellings and the elided-group count). The "occ"
+// spelling leaves the version at 2: no version-2 request could name it,
+// so every reply to one is unchanged, and "occ" results appear only
+// when a client asks for them.
 type SimulateResponse struct {
 	Network   string       `json:"network"`
 	Prune     string       `json:"prune"`

@@ -179,6 +179,64 @@ func TestSimulateWSSRoundTrip(t *testing.T) {
 	}
 }
 
+// residentSize returns the one resident network's size_bytes from GET
+// /v1/networks.
+func residentSize(t *testing.T, url string) int64 {
+	t.Helper()
+	resp, err := http.Get(url + "/v1/networks")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var nr NetworksResponse
+	if err := json.NewDecoder(resp.Body).Decode(&nr); err != nil {
+		t.Fatal(err)
+	}
+	if len(nr.ResidentDetail) != 1 {
+		t.Fatalf("resident_detail = %+v, want one network", nr.ResidentDetail)
+	}
+	return nr.ResidentDetail[0].SizeBytes
+}
+
+// TestSimulateOCCRoundTrip proves "occ" serves as a registry mode: it
+// parses on the wire, the served results equal a direct run, and the
+// OCC structures the request builds count toward the resident
+// network's size_bytes.
+func TestSimulateOCCRoundTrip(t *testing.T) {
+	srv := NewServer(Options{})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	// Make the design point resident and warm first, so the size
+	// comparison sees only what the OCC request adds.
+	if status, body := postSimulate(t, ts.URL,
+		`{"network":"MNIST","mode":"orc","config":{"max_windows":6}}`); status != http.StatusOK {
+		t.Fatalf("status %d: %s", status, body)
+	}
+	before := residentSize(t, ts.URL)
+
+	status, body := postSimulate(t, ts.URL,
+		`{"network":"MNIST","modes":["occ","orc"],"config":{"max_windows":6}}`)
+	if status != http.StatusOK {
+		t.Fatalf("status %d: %s", status, body)
+	}
+	resp := decodeSimulate(t, body)
+	want, err := mnistDirect(t).RunModesContext(context.Background(),
+		[]sre.Mode{sre.OCC, sre.ORC}, sre.WithMaxWindows(6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		want[i].Metrics = nil
+	}
+	if !reflect.DeepEqual(resp.Results, want) {
+		t.Fatalf("served occ/orc differ from the direct run\n got %+v\nwant %+v", resp.Results, want)
+	}
+	if after := residentSize(t, ts.URL); after <= before {
+		t.Fatalf("size_bytes %d -> %d: the OCC structures are not accounted", before, after)
+	}
+}
+
 func TestSimulateRequestValidation(t *testing.T) {
 	srv := NewServer(Options{})
 	ts := httptest.NewServer(srv)

@@ -38,6 +38,7 @@ import (
 	"sre/internal/nn"
 	"sre/internal/prune"
 	"sre/internal/quant"
+	"sre/internal/tensor"
 	"sre/internal/xrand"
 )
 
@@ -242,21 +243,7 @@ func (s Spec) Build(mode PruneMode, p quant.Params, g mapping.Geometry, seed uin
 	infos := net.MatrixLayerInfos()
 	b := &Built{Spec: s, Infos: infos}
 	for _, li := range infos {
-		r := root.Split("w/" + li.Path)
-		w := li.Layer.WeightMatrix()
-		// Right-skewed magnitudes: |N(0, 0.3·max)| so that high cell
-		// groups of most weights are zero (the Fig. 4 bit-level effect).
-		d := w.Data()
-		for i := range d {
-			d[i] = float32(r.NormFloat64() * 0.3)
-		}
-		for pi, spec := range s.pruneSpecs(mode, li) {
-			prune.ApplyMatrix(w, spec, root.Split(fmt.Sprintf("p%d/%s", pi, li.Path)))
-		}
-		if s.SliceCap > 0 {
-			prune.SliceSparsify(w.Data(), s.SliceCap, p.WBits, p.CellBits)
-		}
-
+		w := s.weights(root, mode, li, p)
 		src := compress.NewFloatSource(w, p)
 		st := compress.Build(src, p, g)
 		var zeros int64
@@ -272,7 +259,7 @@ func (s Spec) Build(mode PruneMode, p quant.Params, g mapping.Geometry, seed uin
 		b.Stats = append(b.Stats, LayerStats{
 			WeightZeros: zeros,
 			WeightTotal: int64(len(w.Data())),
-			SNrramCells: compress.SNrramCompressedCells(src, p, segRows),
+			SNrramCells: compress.SNrramCells(src, p, segRows),
 		})
 		rowsPerChan := 1
 		if li.Kind == nn.KindConv && li.K > 0 {
@@ -365,34 +352,50 @@ func (s Spec) pruneSpecs(mode PruneMode, li nn.LayerInfo) []prune.Spec {
 	}
 }
 
-// BuildOCCStructures regenerates the network's pruned weights (same seed
-// and prune mode, hence bit-identical) and builds the OU-column
-// compression structures aligned one-to-one with Build's layers. Kept
-// separate from Build so the common experiments do not pay the extra
-// scan.
-func (s Spec) BuildOCCStructures(mode PruneMode, p quant.Params, g mapping.Geometry, seed uint64) ([]*compress.OCCStructure, error) {
+// AttachOCC returns a copy of layers — Build's layers for the same
+// prune mode, quantization, geometry and seed — with each layer's
+// OU-column compression structure (compress.BuildOCC) attached. It
+// regenerates the weights with Build's own helper, so the structures
+// describe exactly the weights Build compressed. It is kept out of
+// Build so the common experiments do not pay the extra scan.
+func (s Spec) AttachOCC(layers []core.Layer, mode PruneMode, p quant.Params, g mapping.Geometry, seed uint64) ([]core.Layer, error) {
 	net, err := s.Network()
 	if err != nil {
 		return nil, err
 	}
+	infos := net.MatrixLayerInfos()
+	if len(infos) != len(layers) {
+		return nil, fmt.Errorf("workload: %s has %d matrix layers, got %d", s.Name, len(infos), len(layers))
+	}
 	root := xrand.New(seed).Split("workload/" + s.Name)
-	var out []*compress.OCCStructure
-	for _, li := range net.MatrixLayerInfos() {
-		r := root.Split("w/" + li.Path)
-		w := li.Layer.WeightMatrix()
-		d := w.Data()
-		for i := range d {
-			d[i] = float32(r.NormFloat64() * 0.3)
-		}
-		for pi, spec := range s.pruneSpecs(mode, li) {
-			prune.ApplyMatrix(w, spec, root.Split(fmt.Sprintf("p%d/%s", pi, li.Path)))
-		}
-		if s.SliceCap > 0 {
-			prune.SliceSparsify(w.Data(), s.SliceCap, p.WBits, p.CellBits)
-		}
-		out = append(out, compress.BuildOCC(compress.NewFloatSource(w, p), p, g))
+	out := make([]core.Layer, len(layers))
+	copy(out, layers)
+	for i, li := range infos {
+		out[i].OCC = compress.BuildOCC(compress.NewFloatSource(s.weights(root, mode, li, p), p), p, g)
 	}
 	return out, nil
+}
+
+// weights synthesizes layer li's weight matrix from the per-layer
+// streams under root: right-skewed magnitudes |N(0, 0.3·max)| so that
+// high cell groups of most weights are zero (the Fig. 4 bit-level
+// effect), then the prune mode's zero passes, then the slice cap. Build
+// and AttachOCC both call it, so the OCC structures describe exactly
+// the weights Build compressed.
+func (s Spec) weights(root *xrand.RNG, mode PruneMode, li nn.LayerInfo, p quant.Params) *tensor.Tensor {
+	r := root.Split("w/" + li.Path)
+	w := li.Layer.WeightMatrix()
+	d := w.Data()
+	for i := range d {
+		d[i] = float32(r.NormFloat64() * 0.3)
+	}
+	for pi, spec := range s.pruneSpecs(mode, li) {
+		prune.ApplyMatrix(w, spec, root.Split(fmt.Sprintf("p%d/%s", pi, li.Path)))
+	}
+	if s.SliceCap > 0 {
+		prune.SliceSparsify(w.Data(), s.SliceCap, p.WBits, p.CellBits)
+	}
+	return w
 }
 
 // ISAACInputs converts the built layers for the ISAAC model (Fig. 24).

@@ -240,20 +240,73 @@ func TestBuildOCCStructuresAligned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	occs, err := s.BuildOCCStructures(SSL, p, g, 6)
+	layers, err := s.AttachOCC(b.Layers, SSL, p, g, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(occs) != len(b.Layers) {
-		t.Fatalf("OCC structures %d vs layers %d", len(occs), len(b.Layers))
+	if len(layers) != len(b.Layers) {
+		t.Fatalf("OCC layers %d vs layers %d", len(layers), len(b.Layers))
 	}
-	for i := range occs {
-		if occs[i].Layout.Rows != b.Layers[i].Struct.Layout.Rows {
+	for i, l := range layers {
+		if b.Layers[i].OCC != nil {
+			t.Fatal("AttachOCC modified the built layers instead of a copy")
+		}
+		if l.OCC.Layout.Rows != l.Struct.Layout.Rows {
 			t.Fatalf("layer %d geometry mismatch", i)
 		}
 		// Same weights → OCC's compressed cells can never exceed totals.
-		if occs[i].CompressedCells() > occs[i].Layout.TotalCells() {
+		if l.OCC.CompressedCells() > l.OCC.Layout.TotalCells() {
 			t.Fatal("OCC kept more cells than exist")
+		}
+	}
+	if _, err := s.AttachOCC(b.Layers[:1], SSL, p, g, 6); err == nil {
+		t.Fatal("AttachOCC accepted a layer slice of the wrong length")
+	}
+}
+
+// TestOCCSeesBuildWeights checks that AttachOCC saw exactly the
+// weights Build compressed: a row band of a tile keeps an OCC column
+// exactly when the row structure records a non-zero row inside it. The
+// geometry is narrow so the check has teeth: 4-row bands of few weights
+// are often empty, and a 4-cell-wide crossbar holds half a weight's
+// cells, so a tile of the high-order cells is empty exactly when the
+// slice cap applies.
+func TestOCCSeesBuildWeights(t *testing.T) {
+	p := quant.Default()
+	g := mapping.Geometry{XbarRows: 128, XbarCols: 4, SWL: 4, SBL: 4}
+	for _, name := range []string{"MNIST", "CIFAR-10"} {
+		for _, mode := range []PruneMode{SSL, GSL} {
+			for _, sliceCap := range []int{0, 2} {
+				s, err := SpecByName(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				s.SliceCap = sliceCap
+				b, err := s.Build(mode, p, g, 3)
+				if err != nil {
+					t.Fatal(err)
+				}
+				layers, err := s.AttachOCC(b.Layers, mode, p, g, 3)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, l := range layers {
+					lay := l.Struct.Layout
+					for rb := 0; rb < lay.RowBlocks; rb++ {
+						for cb := 0; cb < lay.ColBlocks; cb++ {
+							rows := l.Struct.TileNonZeroRows(rb, cb)
+							for band := 0; band < l.OCC.Bands(rb); band++ {
+								rowNZ := rows.CountRange(band*g.SWL, (band+1)*g.SWL) > 0
+								colNZ := l.OCC.BandRetainedCols(rb, cb, band) > 0
+								if rowNZ != colNZ {
+									t.Fatalf("%s/%v/cap%d layer %s tile (%d,%d) band %d: row structure non-zero %v, OCC %v",
+										name, mode, sliceCap, l.Name, rb, cb, band, rowNZ, colNZ)
+								}
+							}
+						}
+					}
+				}
+			}
 		}
 	}
 }

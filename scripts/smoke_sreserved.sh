@@ -66,6 +66,22 @@ echo "$WOUT" | grep -q '"Mode": "orc+dof+wss"'
 echo "$WOUT" | grep -q '"Version": 2'
 echo "smoke: /v1/simulate wss round-trip ok (slice_cap design point, Version 2)"
 
+# OCC round-trip: an opt-in registry mode that serves only when named.
+# It cannot combine with DOF (Fig. 10), so "occ+dof" is no mode at all:
+# a 400 whose body names it.
+OREQ='{"network":"MNIST","modes":["occ","orc"],"config":{"max_windows":6},"timeout_ms":60000}'
+OOUT=$(curl -sf -X POST "$BASE/v1/simulate" -d "$OREQ")
+echo "$OOUT" | grep -q '"Mode": "occ"'
+OCCDOF=$(curl -s -o /tmp/smoke_occdof.$$ -w '%{http_code}' -X POST "$BASE/v1/simulate" \
+	-d '{"network":"MNIST","mode":"occ+dof"}')
+grep -q 'occ+dof' /tmp/smoke_occdof.$$
+rm -f /tmp/smoke_occdof.$$
+if [ "$OCCDOF" != "400" ]; then
+	echo "smoke: occ+dof returned $OCCDOF (want 400)" >&2
+	exit 1
+fi
+echo "smoke: /v1/simulate occ round-trip ok, occ+dof rejected with 400"
+
 # An unknown mode must be a 400 whose body names the rejected mode.
 BADCODE=$(curl -s -o /tmp/smoke_badmode.$$ -w '%{http_code}' -X POST "$BASE/v1/simulate" \
 	-d '{"network":"MNIST","mode":"warp-drive"}')

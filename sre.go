@@ -27,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"sync"
 
@@ -73,13 +74,18 @@ const (
 	// ORCDOFWSS composes all three sparsity axes: per-group row
 	// compression, weight-slice elision, and Dynamic OU Formation.
 	ORCDOFWSS
+	// OCC is OU-column compression (§4.1, Fig. 8(c)), the alternative
+	// the paper rejects: it needs output indexes and cannot combine with
+	// DOF (Fig. 10). It runs only when named; Modes and RunAll omit it.
+	OCC
 )
 
-// modeDesc is one row of the mode registry: the canonical wire spelling
-// and the core simulator configuration a public Mode stands for.
+// modeDesc is one row of the mode registry: the core simulator
+// configuration a public Mode stands for, whose String is the
+// canonical wire spelling.
 type modeDesc struct {
-	name string
-	core core.Mode
+	core  core.Mode
+	optIn bool // run only when named: left out of Modes and RunAll
 }
 
 // modeTable is the central mode registry, indexed by Mode. Everything
@@ -90,25 +96,29 @@ type modeDesc struct {
 // and spelling: both are wire-visible (served JSON, CLI flags) and
 // pinned by TestModesRegistryPinned.
 var modeTable = [...]modeDesc{
-	Baseline:  {"baseline", core.ModeBaseline},
-	Naive:     {"naive", core.ModeNaive},
-	ReCom:     {"recom", core.ModeReCom},
-	ORC:       {"orc", core.ModeORC},
-	DOF:       {"dof", core.ModeDOF},
-	ORCDOF:    {"orc+dof", core.ModeORCDOF},
-	WSS:       {"wss", core.ModeWSS},
-	ORCDOFWSS: {"orc+dof+wss", core.ModeORCDOFWSS},
+	Baseline:  {core: core.ModeBaseline},
+	Naive:     {core: core.ModeNaive},
+	ReCom:     {core: core.ModeReCom},
+	ORC:       {core: core.ModeORC},
+	DOF:       {core: core.ModeDOF},
+	ORCDOF:    {core: core.ModeORCDOF},
+	WSS:       {core: core.ModeWSS},
+	ORCDOFWSS: {core: core.ModeORCDOFWSS},
+	OCC:       {core: core.ModeOCC, optIn: true},
 }
 
 // valid reports whether m is a registry entry.
 func (m Mode) valid() bool { return m >= 0 && int(m) < len(modeTable) }
 
-// Modes lists every mode in the paper's presentation order (the
-// registry order; bit-slice extensions follow the paper's six).
+// Modes lists every mode RunAll sweeps, in the paper's presentation
+// order (the registry order; bit-slice extensions follow the paper's
+// six). Opt-in modes such as OCC are left out.
 func Modes() []Mode {
-	out := make([]Mode, len(modeTable))
-	for i := range out {
-		out[i] = Mode(i)
+	var out []Mode
+	for i := range modeTable {
+		if !modeTable[i].optIn {
+			out = append(out, Mode(i))
+		}
 	}
 	return out
 }
@@ -117,31 +127,22 @@ func (m Mode) String() string {
 	if !m.valid() {
 		return fmt.Sprintf("mode(%d)", int(m))
 	}
-	return modeTable[m].name
-}
-
-// modeNames returns every canonical spelling joined with "|", for error
-// messages.
-func modeNames() string {
-	names := make([]string, len(modeTable))
-	for i := range modeTable {
-		names[i] = modeTable[i].name
-	}
-	return strings.Join(names, "|")
+	return modeTable[m].core.String()
 }
 
 // ParseMode parses a Mode's canonical spelling ("baseline", "naive",
-// "recom", "orc", "dof", "orc+dof", "wss", "orc+dof+wss"),
+// "recom", "orc", "dof", "orc+dof", "wss", "orc+dof+wss", "occ"),
 // case-insensitively. It is the inverse of Mode.String and the single
 // spelling shared by the CLIs and the sreserved wire format.
 func ParseMode(s string) (Mode, error) {
 	name := strings.ToLower(strings.TrimSpace(s))
+	names := make([]string, len(modeTable))
 	for i := range modeTable {
-		if modeTable[i].name == name {
+		if names[i] = Mode(i).String(); names[i] == name {
 			return Mode(i), nil
 		}
 	}
-	return 0, fmt.Errorf("sre: unknown mode %q (want %s)", s, modeNames())
+	return 0, fmt.Errorf("sre: unknown mode %q (want %s)", s, strings.Join(names, "|"))
 }
 
 // MarshalText implements encoding.TextMarshaler with the canonical
@@ -151,7 +152,7 @@ func (m Mode) MarshalText() ([]byte, error) {
 	if !m.valid() {
 		return nil, fmt.Errorf("sre: cannot marshal unknown mode %d", int(m))
 	}
-	return []byte(modeTable[m].name), nil
+	return []byte(m.String()), nil
 }
 
 // UnmarshalText implements encoding.TextUnmarshaler via ParseMode.
@@ -442,6 +443,7 @@ func (c Config) Validate() error {
 // ResultVersion is the current Result wire-format version; see
 // Result.Version. Version 2 added the WSS mode spellings ("wss",
 // "orc+dof+wss") to the Mode text encoding and the ElidedGroups field.
+// "occ" came later within version 2: only clients that name it see it.
 const ResultVersion = 2
 
 // Breakdown splits a run's energy by component class. Every field is
@@ -482,7 +484,7 @@ type Result struct {
 	Seconds          float64 // wall-clock seconds at the modeled clock rate
 	Energy           Breakdown
 	CompressionRatio float64 // weight compression of the mode's scheme (×, dimensionless)
-	IndexStorageBits int64   // input-index storage the scheme needs (bits)
+	IndexStorageBits int64   // index storage (bits): input indexes, or output indexes under OCC
 	// ElidedGroups counts OU column groups whose retained-row plans are
 	// empty under the mode's weight scheme, summed over layers
 	// (Version 2). Under WSS these are the all-zero weight bit slices:
@@ -519,7 +521,7 @@ type Network struct {
 	fromSnapshot bool // loaded from a snapshot rather than built
 
 	occMu sync.Mutex
-	occ   []*compress.OCCStructure // lazy, for RunOCC
+	occ   []core.Layer // lazy: the built layers with OCC structures attached
 }
 
 // Networks lists the paper's Table 2 model names.
@@ -740,10 +742,11 @@ func (n *Network) Name() string { return n.name }
 // per-layer compression structures' group masks (the bytes a snapshot
 // would persist) plus whatever window-code and slice-mask planes runs
 // have lazily cached so far, with a small fixed constant per layer for
-// activation sources and bookkeeping. The estimate is cheap (no
-// allocation, a few loads per layer) and monotone — plane caches only
-// grow — so callers that account memory, like sreserved's byte-bounded
-// registry, can re-read it as the network warms up.
+// activation sources and bookkeeping, plus any OCC structures built so
+// far. The estimate is cheap (no allocation, a few loads per layer) and
+// monotone — plane caches and OCC structures only grow — so callers
+// that account memory, like sreserved's byte-bounded registry, can
+// re-read it as the network warms up.
 func (n *Network) SizeBytes() int64 {
 	total := int64(4096)
 	for i := range n.built.Layers {
@@ -754,6 +757,11 @@ func (n *Network) SizeBytes() int64 {
 		total += l.Codes.ResidentBytes()
 		total += 1024
 	}
+	n.occMu.Lock()
+	for i := range n.occ {
+		total += n.occ[i].OCC.SizeBytes()
+	}
+	n.occMu.Unlock()
 	return total
 }
 
@@ -816,14 +824,11 @@ func (n *Network) RunAllContext(ctx context.Context, opts ...Option) ([]Result, 
 	return n.RunModesContext(ctx, Modes(), opts...)
 }
 
-// RunModesContext simulates the given modes — any non-empty subset of
-// Modes(), in any order — concurrently through one shared worker pool,
-// exactly as RunAllContext does for the full set. Results come back in
-// the order modes was given.
+// RunModesContext simulates the given modes — any non-empty set of
+// registry modes, OCC included, in any order — concurrently through one
+// shared worker pool, exactly as RunAllContext does for Modes().
+// Results come back in the order modes was given.
 func (n *Network) RunModesContext(ctx context.Context, modes []Mode, opts ...Option) ([]Result, error) {
-	if len(modes) == 0 {
-		return nil, fmt.Errorf("sre: RunModesContext needs at least one mode")
-	}
 	grid, err := n.RunBatchContext(ctx, modes, []ActivationSet{{}}, opts...)
 	if err != nil {
 		return nil, err
@@ -844,11 +849,6 @@ type ActivationSet struct {
 	ActSeed uint64
 }
 
-// RunBatch is RunBatchContext with a background context.
-func (n *Network) RunBatch(modes []Mode, acts []ActivationSet, opts ...Option) ([][]Result, error) {
-	return n.RunBatchContext(context.Background(), modes, acts, opts...)
-}
-
 // RunBatchContext simulates the given modes once per activation set as
 // one batched multi-activation sweep and returns results indexed
 // [set][mode]. Each Result is bit-identical to the same mode run alone
@@ -862,11 +862,11 @@ func (n *Network) RunBatch(modes []Mode, acts []ActivationSet, opts ...Option) (
 // layers once, with the first set's numbers. Every other Run method is
 // a batch of this one, and sreserved's micro-batcher serves every
 // coalesced sweep through it.
-func (n *Network) RunBatchContext(ctx context.Context, modes []Mode, acts []ActivationSet, opts ...Option) ([][]Result, error) {
+func (n *Network) RunBatchContext(ctx context.Context, modes []Mode, sets []ActivationSet, opts ...Option) ([][]Result, error) {
 	if len(modes) == 0 {
 		return nil, fmt.Errorf("sre: RunBatchContext needs at least one mode")
 	}
-	if len(acts) == 0 {
+	if len(sets) == 0 {
 		return nil, fmt.Errorf("sre: RunBatchContext needs at least one activation set")
 	}
 	cms := make([]core.Mode, len(modes))
@@ -877,17 +877,11 @@ func (n *Network) RunBatchContext(ctx context.Context, modes []Mode, acts []Acti
 		}
 		cms[i] = cm
 	}
-	return n.run(ctx, n.built.Layers, cms, acts, opts)
-}
-
-// run is the one run path behind every Run method. It resolves the
-// per-run options once, builds one core.Config, simulates each mode as
-// one core batch over the activation sets — modes concurrently through
-// one shared worker pool, so total concurrency stays bounded — and
-// returns results indexed [set][mode].
-func (n *Network) run(ctx context.Context, layers []core.Layer, modes []core.Mode,
-	sets []ActivationSet, opts []Option) ([][]Result, error) {
 	s, err := n.runSettings(opts)
+	if err != nil {
+		return nil, err
+	}
+	layers, err := n.layersFor(cms...)
 	if err != nil {
 		return nil, err
 	}
@@ -919,16 +913,20 @@ func (n *Network) run(ctx context.Context, layers []core.Layer, modes []core.Mod
 	poolErr := pool.For(ctx, len(modes), func(start, end int) {
 		for i := start; i < end; i++ {
 			mcfg := cfg
-			mcfg.Mode = modes[i]
+			mcfg.Mode = cms[i]
 			if s.progress != nil {
-				mcfg.Progress = n.progressFunc(s.progress, modeOf(modes[i]))
+				mcfg.Progress = n.progressFunc(s.progress, modes[i])
 			}
-			ress, err := core.SimulateNetworkBatchContext(ctx, layers, mcfg, batch)
+			fp, err := core.FootprintOf(layers, cms[i].Scheme, indexBits)
+			var ress []core.NetworkResult
+			if err == nil {
+				ress, err = core.SimulateNetworkBatchContext(ctx, layers, mcfg, batch)
+			}
 			if err != nil {
 				errs[i] = err
 				continue
 			}
-			n.fillResults(out, i, layers, modes[i], indexBits, ress)
+			n.fillResults(out, i, modes[i], fp, ress)
 		}
 	})
 	for _, err := range errs {
@@ -952,15 +950,36 @@ func (n *Network) run(ctx context.Context, layers []core.Layer, modes []core.Mod
 	return out, nil
 }
 
-// modeOf returns the registry Mode that runs cm. OCC is not a registry
-// row; its results carry the zero Mode.
-func modeOf(cm core.Mode) Mode {
-	for i := range modeTable {
-		if modeTable[i].core == cm {
-			return Mode(i)
-		}
+// layersFor returns the layers the given modes simulate over: the built
+// layers, or — when a mode needs OCC structures — a copy of them with
+// the lazily built OCC structures attached. The build runs outside the
+// mutex (SizeBytes takes it, and sreserved's registry calls SizeBytes
+// under its own lock); racing builds are bit-identical and the first
+// one published wins.
+func (n *Network) layersFor(cms ...core.Mode) ([]core.Layer, error) {
+	if !slices.ContainsFunc(cms, func(cm core.Mode) bool { return cm.Scheme.RequiresOCC() }) {
+		return n.built.Layers, nil
 	}
-	return 0
+	n.occMu.Lock()
+	layers := n.occ
+	n.occMu.Unlock()
+	if layers != nil {
+		return layers, nil
+	}
+	mode, err := n.style.pruneMode()
+	if err != nil {
+		return nil, err
+	}
+	layers, err = n.spec.AttachOCC(n.built.Layers, mode, n.cfg.params(), n.cfg.geometry(), n.cfg.Seed)
+	if err != nil {
+		return nil, err
+	}
+	n.occMu.Lock()
+	defer n.occMu.Unlock()
+	if n.occ == nil {
+		n.occ = layers
+	}
+	return n.occ, nil
 }
 
 // progressFunc adapts a WithProgress callback to the core's per-layer
@@ -983,25 +1002,11 @@ func layerResult(lr core.LayerResult) LayerResult {
 }
 
 // fillResults converts one mode's core results, one per activation
-// set, into column mi of the [set][mode] grid. The compression ratio,
-// index storage and elided groups depend only on the weight scheme, so
-// they are computed once and shared across sets. OCC has no row plans;
-// RunOCC accounts its output indexes itself.
-func (n *Network) fillResults(out [][]Result, mi int, layers []core.Layer, cm core.Mode,
-	indexBits int, ress []core.NetworkResult) {
-	tmpl := Result{Version: ResultVersion, Network: n.name, Mode: modeOf(cm)}
-	if cm.Scheme != compress.OCC {
-		var totalCells, compCells int64
-		for _, l := range layers {
-			totalCells += l.Struct.Layout.TotalCells()
-			compCells += l.Struct.CompressedCells(cm.Scheme, indexBits)
-			tmpl.IndexStorageBits += l.Struct.IndexStorageBits(cm.Scheme, indexBits)
-			tmpl.ElidedGroups += l.Struct.EmptyGroups(cm.Scheme, indexBits)
-		}
-		if compCells > 0 {
-			tmpl.CompressionRatio = float64(totalCells) / float64(compCells)
-		}
-	}
+// set, into column mi of the [set][mode] grid. The footprint depends
+// only on the weight scheme, so every set shares it.
+func (n *Network) fillResults(out [][]Result, mi int, mode Mode, fp core.Footprint, ress []core.NetworkResult) {
+	tmpl := Result{Version: ResultVersion, Network: n.name, Mode: mode,
+		CompressionRatio: fp.Ratio(), IndexStorageBits: fp.IndexBits, ElidedGroups: fp.EmptyGroups}
 	for j, res := range ress {
 		r := tmpl
 		r.Cycles, r.Seconds, r.Energy = res.Cycles, res.Time, Breakdown(res.Energy)
@@ -1019,50 +1024,6 @@ func ResultsByMode(results []Result) map[Mode]Result {
 		out[r.Mode] = r
 	}
 	return out
-}
-
-// RunOCC simulates the network under OU-column compression (§4.1,
-// Fig. 8(c)) — the row-compression alternative the paper rejects because
-// it needs output indexing and cannot combine with DOF (Fig. 10). The
-// per-layer OCC structures are built lazily on first call. Per-run
-// options adjust the same run-scoped knobs as RunContext.
-func (n *Network) RunOCC(opts ...Option) (Result, error) {
-	n.occMu.Lock()
-	if n.occ == nil {
-		mode, err := n.style.pruneMode()
-		if err != nil {
-			n.occMu.Unlock()
-			return Result{}, err
-		}
-		occs, err := n.spec.BuildOCCStructures(mode, n.cfg.params(), n.cfg.geometry(), n.cfg.Seed)
-		if err != nil {
-			n.occMu.Unlock()
-			return Result{}, err
-		}
-		n.occ = occs
-	}
-	n.occMu.Unlock()
-	layers := make([]core.Layer, len(n.built.Layers))
-	copy(layers, n.built.Layers)
-	for i := range layers {
-		layers[i].OCC = n.occ[i]
-	}
-	grid, err := n.run(context.Background(), layers, []core.Mode{core.ModeOCC}, []ActivationSet{{}}, opts)
-	if err != nil {
-		return Result{}, err
-	}
-	out := grid[0][0]
-	var total, comp, outBits int64
-	for i := range layers {
-		total += layers[i].Struct.Layout.TotalCells()
-		comp += n.occ[i].CompressedCells()
-		outBits += n.occ[i].OutputIndexBits()
-	}
-	if comp > 0 {
-		out.CompressionRatio = float64(total) / float64(comp)
-	}
-	out.IndexStorageBits = outBits
-	return out, nil
 }
 
 // RunISAAC simulates the network on the over-idealized ISAAC-style
@@ -1090,35 +1051,28 @@ func (n *Network) RunISAAC(withReCom bool) Result {
 }
 
 // CompressionRatio returns the network's weight compression ratio under
-// a scheme without running a simulation.
+// a mode's scheme without running a simulation — the CompressionRatio
+// a run of that mode reports (0 when the scheme maps no cells). For OCC
+// it builds the OCC structures if no run has yet.
 func (n *Network) CompressionRatio(mode Mode) (float64, error) {
 	cm, err := mode.coreMode()
 	if err != nil {
 		return 0, err
 	}
-	var total, comp int64
-	for _, l := range n.built.Layers {
-		total += l.Struct.Layout.TotalCells()
-		comp += l.Struct.CompressedCells(cm.Scheme, n.indexBits())
+	layers, err := n.layersFor(cm)
+	if err != nil {
+		return 0, err
 	}
-	if comp == 0 {
-		comp = 1
-	}
-	return float64(total) / float64(comp), nil
+	fp, err := core.FootprintOf(layers, cm.Scheme, n.indexBits())
+	return fp.Ratio(), err
 }
 
 // IdealCompressionRatio returns the Fig. 20 upper bound (every zero cell
 // removed).
 func (n *Network) IdealCompressionRatio() float64 {
-	var total, comp int64
-	for _, l := range n.built.Layers {
-		total += l.Struct.Layout.TotalCells()
-		comp += l.Struct.CompressedCells(compress.Ideal, 0)
-	}
-	if comp == 0 {
-		comp = 1
-	}
-	return float64(total) / float64(comp)
+	// Only OCC footprints can fail; Ideal reads the row structures.
+	fp, _ := core.FootprintOf(n.built.Layers, compress.Ideal, 0)
+	return fp.Ratio()
 }
 
 // Cell is a ReRAM device technology for the accuracy model (Fig. 5).

@@ -86,15 +86,15 @@ func TestRunAllCodeCacheResultsIdentical(t *testing.T) {
 		}
 	}
 	// The opt-out also holds for the OCC extension path.
-	occCached, err := net.RunOCC()
+	occCached, err := net.RunContext(context.Background(), OCC)
 	if err != nil {
 		t.Fatal(err)
 	}
-	occUncached, err := net.RunOCC(WithCodeCache(false))
+	occUncached, err := net.RunContext(context.Background(), OCC, WithCodeCache(false))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(occCached, occUncached) {
-		t.Fatal("RunOCC diverges under WithCodeCache(false)")
+		t.Fatal("OCC run diverges under WithCodeCache(false)")
 	}
 }

@@ -3,6 +3,7 @@ package sre
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -205,14 +206,77 @@ func TestRunModesContextSubset(t *testing.T) {
 	}
 }
 
+// TestOCCRegistryMode pins OCC as an opt-in registry row on the one run
+// path: cancellable, labelled in its progress events, reporting the
+// compression ratio CompressionRatio reports, and batched with other
+// modes bit-identically to running each alone.
+func TestOCCRegistryMode(t *testing.T) {
+	net, err := Load("MNIST", smallOpts()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	if _, err := net.RunContext(cancelled, OCC); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled OCC run: err = %v, want context.Canceled", err)
+	}
+
+	var labels []Mode
+	res, err := net.RunContext(ctx, OCC, WithProgress(func(p Progress) { labels = append(labels, p.Mode) }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Mode != OCC {
+		t.Fatalf("OCC result carries Mode %v", res.Mode)
+	}
+	if len(labels) != net.LayerCount() {
+		t.Fatalf("%d progress events, want %d", len(labels), net.LayerCount())
+	}
+	for i, m := range labels {
+		if m != OCC {
+			t.Fatalf("progress event %d labelled %v, want occ", i, m)
+		}
+	}
+
+	for _, m := range append(Modes(), OCC) {
+		r, err := net.RunContext(ctx, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ratio, err := net.CompressionRatio(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ratio != r.CompressionRatio {
+			t.Fatalf("%v: CompressionRatio %v, run reports %v", m, ratio, r.CompressionRatio)
+		}
+	}
+
+	modes := []Mode{ORCDOF, OCC, Baseline}
+	got, err := net.RunModesContext(ctx, modes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, m := range modes {
+		want, err := net.RunContext(ctx, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got[i], want) {
+			t.Fatalf("%v: batched result differs from a separate run", m)
+		}
+	}
+}
+
 func TestRunOCCUnknownStyle(t *testing.T) {
 	net, err := Load("MNIST", smallOpts()...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	net.style = PruneStyle(99)
-	if _, err := net.RunOCC(); err == nil {
-		t.Fatal("RunOCC accepted unknown prune style")
+	if _, err := net.RunContext(context.Background(), OCC); err == nil {
+		t.Fatal("OCC run accepted unknown prune style")
 	}
 }
 

@@ -1,6 +1,7 @@
 package sre
 
 import (
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
@@ -79,11 +80,11 @@ func TestSnapshotGoldenAllModes(t *testing.T) {
 		}
 		// OCC rebuilds its structures from the persisted spec — it must
 		// agree too.
-		wantOCC, err := fresh.RunOCC()
+		wantOCC, err := fresh.RunContext(context.Background(), OCC)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotOCC, err := loaded.RunOCC()
+		gotOCC, err := loaded.RunContext(context.Background(), OCC)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package sre
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -286,7 +287,7 @@ func TestRunOCC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	occ, err := net.RunOCC()
+	occ, err := net.RunContext(context.Background(), OCC)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,12 +330,12 @@ func TestRunOCC(t *testing.T) {
 	// Lazy structures are cached: second run must agree, and WithProgress
 	// fires once per layer.
 	events := 0
-	again, err := net.RunOCC(WithProgress(func(Progress) { events++ }))
+	again, err := net.RunContext(context.Background(), OCC, WithProgress(func(Progress) { events++ }))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if again.Cycles != occ.Cycles {
-		t.Fatal("RunOCC not deterministic")
+		t.Fatal("OCC run not deterministic")
 	}
 	if events != net.LayerCount() {
 		t.Fatalf("WithProgress fired %d times, want %d", events, net.LayerCount())
