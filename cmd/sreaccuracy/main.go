@@ -81,12 +81,16 @@ func main() {
 	// Each wordline count seeds its own RNG, so the sweep shards across
 	// workers without changing any result.
 	accs := make([]float64, len(ns))
-	parallel.New(*workers).For(context.Background(), len(ns), func(start, end int) {
+	err = parallel.New(*workers).For(context.Background(), len(ns), func(start, end int) {
 		for i := start; i < end; i++ {
 			n := ns[i]
 			accs[i] = experiments.NoisyAccuracy(net, testSet, cell, n, p, xrand.New(*seed+uint64(n)))
 		}
 	})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "sreaccuracy:", err)
+		os.Exit(1)
+	}
 	for i, n := range ns {
 		fmt.Printf("%-10d %-18.3g %.1f%%\n", n, cell.ReadErrorProb(n/2, 1.5), 100*accs[i])
 	}

@@ -19,7 +19,7 @@ import (
 
 // AddWorkers registers the shared -workers flag on fs.
 func AddWorkers(fs *flag.FlagSet) *int {
-	return fs.Int("workers", 0, "simulation worker-pool width (0 = GOMAXPROCS)")
+	return fs.Int("workers", 0, "build and simulation worker-pool width (0 = GOMAXPROCS)")
 }
 
 // AddCodeCache registers the shared -codecache flag on fs.

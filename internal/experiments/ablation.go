@@ -8,6 +8,7 @@ import (
 	"sre/internal/compress"
 	"sre/internal/core"
 	"sre/internal/mapping"
+	"sre/internal/parallel"
 	"sre/internal/quant"
 	"sre/internal/workload"
 )
@@ -78,7 +79,7 @@ func AblationOCC(opt Options) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		layers, err := spec.AttachOCC(b.Layers, workload.SSL, p, g, opt.Seed)
+		layers, err := spec.AttachOCC(b.Layers, workload.SSL, p, g, opt.Seed, parallel.New(opt.Workers))
 		if err != nil {
 			return nil, err
 		}

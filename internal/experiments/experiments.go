@@ -32,7 +32,7 @@ type Options struct {
 	Seed       uint64
 	MaxWindows int  // per-layer window sampling cap (0 → default 48)
 	Quick      bool // trim sweeps for fast CI/bench runs
-	Workers    int  // simulation worker-pool width (0 = GOMAXPROCS)
+	Workers    int  // build and simulation worker-pool width (0 = GOMAXPROCS)
 	// NoCodeCache disables the per-layer window-code plane cache
 	// (results are bit-identical either way; see core.Config).
 	NoCodeCache bool
@@ -213,9 +213,10 @@ func build(spec workload.Spec, mode workload.PruneMode, p quant.Params, g mappin
 	if opt.SnapshotDir != "" {
 		b, _, err = snapshot.LoadOrBuild(opt.SnapshotDir,
 			snapshot.Key{Spec: spec, Prune: mode, Quant: p, Geom: g, Seed: opt.Seed},
-			snapshot.WriteOptions{MaxWindows: opt.maxWindows(), IndexBits: spec.IndexBits})
+			snapshot.WriteOptions{MaxWindows: opt.maxWindows(), IndexBits: spec.IndexBits},
+			parallel.New(opt.Workers))
 	} else {
-		b, err = spec.Build(mode, p, g, opt.Seed)
+		b, err = spec.Build(mode, p, g, opt.Seed, parallel.New(opt.Workers))
 	}
 	if err != nil {
 		return nil, err

@@ -117,16 +117,14 @@ func (c *Conv) OutShape(in Shape) Shape {
 // The view copies (orientation differs from storage); callers mutate
 // weights through W, not through this matrix.
 func (c *Conv) WeightMatrix() *tensor.Tensor {
+	// W's storage is [Cout][rows] with the same row order, so the view
+	// is a plain transpose of that flat layout.
 	rows := c.Cin * c.K * c.K
 	m := tensor.New(rows, c.Cout)
+	src, dst := c.W.Data(), m.Data()
 	for co := 0; co < c.Cout; co++ {
-		for ci := 0; ci < c.Cin; ci++ {
-			for ky := 0; ky < c.K; ky++ {
-				for kx := 0; kx < c.K; kx++ {
-					r := ci*c.K*c.K + ky*c.K + kx
-					m.Set(c.W.At(co, ci, ky, kx), r, co)
-				}
-			}
+		for r, v := range src[co*rows : (co+1)*rows] {
+			dst[r*c.Cout+co] = v
 		}
 	}
 	return m

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"sre/internal/tensor"
@@ -60,6 +61,46 @@ func TestConvForwardMatchesIm2ColMatVec(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// refWeightMatrix is WeightMatrix written element by element through
+// the indexed accessors: row ci·K·K + ky·K + kx, column co.
+func refWeightMatrix(c *Conv) *tensor.Tensor {
+	m := tensor.New(c.Cin*c.K*c.K, c.Cout)
+	for co := 0; co < c.Cout; co++ {
+		for ci := 0; ci < c.Cin; ci++ {
+			for ky := 0; ky < c.K; ky++ {
+				for kx := 0; kx < c.K; kx++ {
+					m.Set(c.W.At(co, ci, ky, kx), ci*c.K*c.K+ky*c.K+kx, co)
+				}
+			}
+		}
+	}
+	return m
+}
+
+var sinkTensor *tensor.Tensor
+
+// TestConvWeightMatrixTranspose: the flat-index transpose equals the
+// At/Set one on every group of a random grouped conv, and allocates
+// nothing beyond its output tensor.
+func TestConvWeightMatrixTranspose(t *testing.T) {
+	r := xrand.New(3)
+	g := NewGroupedConv(6, 8, 3, 1, 1, 2)
+	for _, c := range g.Convs {
+		for i := range c.W.Data() {
+			c.W.Data()[i] = float32(r.NormFloat64())
+		}
+		got, want := c.WeightMatrix(), refWeightMatrix(c)
+		if !reflect.DeepEqual(got.Shape(), want.Shape()) || !reflect.DeepEqual(got.Data(), want.Data()) {
+			t.Fatalf("WeightMatrix differs from the At/Set transpose: shape %v vs %v", got.Shape(), want.Shape())
+		}
+		rows := c.Cin * c.K * c.K
+		outAllocs := testing.AllocsPerRun(20, func() { sinkTensor = tensor.New(rows, c.Cout) })
+		if a := testing.AllocsPerRun(20, func() { sinkTensor = c.WeightMatrix() }); a != outAllocs {
+			t.Fatalf("WeightMatrix allocates %v times per call, want %v (the output tensor only)", a, outAllocs)
 		}
 	}
 }

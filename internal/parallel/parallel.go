@@ -13,15 +13,67 @@
 // pre-sized slices and reduce serially afterwards, which keeps results
 // bit-identical to a serial run regardless of worker count or
 // scheduling order.
+//
+// Panics: a panic in any shard — on a pool goroutine or on the caller's
+// own — is recovered, its token released, and returned from For or
+// ForDynamic as a *PanicError carrying the stack. The other shards
+// still run, and the pool stays usable, so a bug in one work item costs
+// its caller an error instead of the process.
 package parallel
 
 import (
 	"context"
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
 )
+
+// PanicError is a panic recovered from a For or ForDynamic shard.
+type PanicError struct {
+	Start, End int    // the index range whose fn call panicked
+	Value      any    // the value passed to panic
+	Stack      []byte // the panicking goroutine's stack (debug.Stack)
+}
+
+func (e *PanicError) Error() string {
+	return fmt.Sprintf("parallel: panic in shard [%d, %d): %v\n%s", e.Start, e.End, e.Value, e.Stack)
+}
+
+// panics records the panics recovered from one For or ForDynamic call.
+// It keeps the one with the lowest start index, so when every shard
+// runs the returned error does not depend on scheduling.
+type panics struct {
+	mu    sync.Mutex
+	first *PanicError
+}
+
+// run calls fn(start, end), recovering a panic into the record.
+func (ps *panics) run(fn func(start, end int), start, end int) {
+	defer func() {
+		if r := recover(); r != nil {
+			pe := &PanicError{Start: start, End: end, Value: r, Stack: debug.Stack()}
+			ps.mu.Lock()
+			if ps.first == nil || pe.Start < ps.first.Start {
+				ps.first = pe
+			}
+			ps.mu.Unlock()
+		}
+	}()
+	fn(start, end)
+}
+
+// err returns the recorded panic, or else ctx.Err.
+func (ps *panics) err(ctx context.Context) error {
+	ps.mu.Lock()
+	defer ps.mu.Unlock()
+	if ps.first != nil {
+		return ps.first
+	}
+	return ctx.Err()
+}
 
 // Pool bounds concurrent workers. Create one with New; a nil *Pool is
 // valid and runs everything inline on the caller's goroutine.
@@ -103,7 +155,8 @@ func (p *Pool) Workers() int {
 // many pool workers as are free. fn must be safe to run concurrently
 // on disjoint shards. For stops dispatching new shards once ctx is
 // cancelled (shards already running finish first) and returns ctx.Err
-// if the context was cancelled at any point, nil otherwise.
+// if the context was cancelled at any point, nil otherwise. A panicking
+// shard is returned as a *PanicError instead (see the package doc).
 func (p *Pool) For(ctx context.Context, n int, fn func(start, end int)) error {
 	if n <= 0 {
 		return ctx.Err()
@@ -117,6 +170,7 @@ func (p *Pool) For(ctx context.Context, n int, fn func(start, end int)) error {
 	if shards > n {
 		shards = n
 	}
+	var ps panics
 	if shards == 1 {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -124,14 +178,13 @@ func (p *Pool) For(ctx context.Context, n int, fn func(start, end int)) error {
 		if st != nil {
 			st.ShardsInline.Add(1)
 		}
-		fn(0, n)
-		return ctx.Err()
+		ps.run(fn, 0, n)
+		return ps.err(ctx)
 	}
 	var wg sync.WaitGroup
 	for s := 0; s < shards; s++ {
-		if err := ctx.Err(); err != nil {
-			wg.Wait()
-			return err
+		if ctx.Err() != nil {
+			break
 		}
 		start, end := s*n/shards, (s+1)*n/shards
 		if s == shards-1 {
@@ -139,7 +192,7 @@ func (p *Pool) For(ctx context.Context, n int, fn func(start, end int)) error {
 			if st != nil {
 				st.ShardsInline.Add(1)
 			}
-			fn(start, end)
+			ps.run(fn, start, end)
 			break
 		}
 		select {
@@ -155,18 +208,18 @@ func (p *Pool) For(ctx context.Context, n int, fn func(start, end int)) error {
 				if st != nil {
 					st.SpawnWaitNanos.Add(time.Since(spawned).Nanoseconds())
 				}
-				fn(start, end)
+				ps.run(fn, start, end)
 			}()
 		default:
 			// Pool saturated (e.g. a nested For): run inline.
 			if st != nil {
 				st.ShardsInline.Add(1)
 			}
-			fn(start, end)
+			ps.run(fn, start, end)
 		}
 	}
 	wg.Wait()
-	return ctx.Err()
+	return ps.err(ctx)
 }
 
 // ForDynamic partitions [0, n) into fixed-size contiguous chunks and
@@ -187,7 +240,9 @@ func (p *Pool) For(ctx context.Context, n int, fn func(start, end int)) error {
 //
 // ForDynamic stops claiming new chunks once ctx is cancelled (chunks
 // already running finish first) and returns ctx.Err if the context was
-// cancelled at any point, nil otherwise.
+// cancelled at any point, nil otherwise. A panicking chunk is returned
+// as a *PanicError instead; its worker goes on claiming chunks, so
+// every other index is still processed.
 func (p *Pool) ForDynamic(ctx context.Context, n, chunk int, fn func(start, end int)) error {
 	if n <= 0 {
 		return ctx.Err()
@@ -203,6 +258,7 @@ func (p *Pool) ForDynamic(ctx context.Context, n, chunk int, fn func(start, end 
 		st.DynChunks.Add(int64(nChunks))
 	}
 	var cursor atomic.Int64
+	var ps panics
 	body := func() {
 		if st != nil {
 			st.DynWorkers.Add(1)
@@ -217,7 +273,7 @@ func (p *Pool) ForDynamic(ctx context.Context, n, chunk int, fn func(start, end 
 			if end > n {
 				end = n
 			}
-			fn(start, end)
+			ps.run(fn, start, end)
 		}
 	}
 	workers := p.Workers()
@@ -250,7 +306,7 @@ spawn:
 	}
 	body()
 	wg.Wait()
-	return ctx.Err()
+	return ps.err(ctx)
 }
 
 // ChunkFor sizes a ForDynamic chunk for n items over the given worker

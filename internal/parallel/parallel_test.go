@@ -2,6 +2,8 @@ package parallel
 
 import (
 	"context"
+	"errors"
+	"strings"
 	"sync/atomic"
 	"testing"
 )
@@ -237,5 +239,100 @@ func TestForDynamicStats(t *testing.T) {
 	}
 	if st.Items.Load() != 100 {
 		t.Fatalf("Items = %d, want 100", st.Items.Load())
+	}
+}
+
+// checkPanicked asserts err is the recovered panic of the index-5 item,
+// that every index outside its shard ran exactly once, and that the
+// pool got every token back.
+func checkPanicked(t *testing.T, p *Pool, err error, hits []int32) {
+	t.Helper()
+	var pe *PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("err = %v, want a *PanicError", err)
+	}
+	if pe.Value != "boom" || pe.Start > 5 || pe.End <= 5 {
+		t.Fatalf("PanicError{%d, %d, %v}, want the shard holding index 5 and value boom", pe.Start, pe.End, pe.Value)
+	}
+	if !strings.Contains(string(pe.Stack), "parallel_test.go") || !strings.Contains(err.Error(), "boom") {
+		t.Fatalf("error does not carry the panic site:\n%v", err)
+	}
+	for i, h := range hits {
+		if i >= pe.Start && i < pe.End {
+			continue
+		}
+		if h != 1 {
+			t.Fatalf("index %d outside the panicking shard ran %d times", i, h)
+		}
+	}
+	if p != nil && len(p.sem) != 0 {
+		t.Fatalf("%d worker tokens still held after the call", len(p.sem))
+	}
+}
+
+// panicAt5 marks each index it visits and panics on index 5.
+func panicAt5(hits []int32) func(start, end int) {
+	return func(start, end int) {
+		for i := start; i < end; i++ {
+			if i == 5 {
+				panic("boom")
+			}
+			atomic.AddInt32(&hits[i], 1)
+		}
+	}
+}
+
+func TestForRecoversShardPanic(t *testing.T) {
+	for _, p := range []*Pool{nil, New(1), New(2), New(4), New(8)} {
+		hits := make([]int32, 16)
+		checkPanicked(t, p, p.For(context.Background(), len(hits), panicAt5(hits)), hits)
+		// The pool is reusable: a clean call covers everything.
+		hits = make([]int32, 16)
+		if err := p.For(context.Background(), len(hits), func(start, end int) {
+			for i := start; i < end; i++ {
+				atomic.AddInt32(&hits[i], 1)
+			}
+		}); err != nil {
+			t.Fatalf("width %d: reuse after a panic: %v", p.Workers(), err)
+		}
+		for i, h := range hits {
+			if h != 1 {
+				t.Fatalf("width %d: reuse after a panic: index %d ran %d times", p.Workers(), i, h)
+			}
+		}
+	}
+}
+
+func TestForDynamicRecoversChunkPanic(t *testing.T) {
+	for _, p := range []*Pool{nil, New(1), New(2), New(4), New(8)} {
+		hits := make([]int32, 64)
+		err := p.ForDynamic(context.Background(), len(hits), 1, panicAt5(hits))
+		checkPanicked(t, p, err, hits)
+		if pe := err.(*PanicError); pe.Start != 5 || pe.End != 6 {
+			t.Fatalf("width %d: panicking chunk [%d, %d), want [5, 6)", p.Workers(), pe.Start, pe.End)
+		}
+		var n atomic.Int64
+		if err := p.ForDynamic(context.Background(), 100, 3, func(start, end int) {
+			n.Add(int64(end - start))
+		}); err != nil || n.Load() != 100 {
+			t.Fatalf("width %d: reuse after a panic: err %v, covered %d of 100", p.Workers(), err, n.Load())
+		}
+	}
+}
+
+// TestPanicErrorDeterministic pins which panic wins when several shards
+// panic: the lowest start, whatever the scheduling.
+func TestPanicErrorDeterministic(t *testing.T) {
+	for _, width := range []int{1, 2, 8} {
+		p := New(width)
+		err := p.For(context.Background(), 8, func(start, end int) { panic("boom") })
+		var pe *PanicError
+		if !errors.As(err, &pe) || pe.Start != 0 {
+			t.Fatalf("width %d: err = %v, want the shard starting at 0", width, err)
+		}
+		err = p.ForDynamic(context.Background(), 8, 1, func(start, end int) { panic("boom") })
+		if !errors.As(err, &pe) || pe.Start != 0 {
+			t.Fatalf("width %d: ForDynamic err = %v, want the chunk starting at 0", width, err)
+		}
 	}
 }

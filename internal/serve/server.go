@@ -19,6 +19,7 @@ import (
 
 	"sre"
 	"sre/internal/metrics"
+	"sre/internal/parallel"
 )
 
 // Options configures a Server. The zero value serves with the
@@ -354,11 +355,23 @@ func (s *Server) handleNetworks(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
+// maxRequestBytes bounds a /v1/simulate body. A valid request is a few
+// hundred bytes; the cap keeps a client from making the server buffer
+// an unbounded one.
+const maxRequestBytes = 1 << 20
+
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	s.requests.Inc()
 	var req SimulateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request body: " + err.Error()})
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeJSON(w, status, errorResponse{Error: "bad request body: " + err.Error()})
 		return
 	}
 	key, batchKey, modes, status, err := s.resolve(req)
@@ -398,6 +411,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 
 	results, size, cached, err := s.batcher.Do(ctx, batchKey, modes, req.ActSeed)
+	var panicked *parallel.PanicError
 	switch {
 	case errors.Is(err, context.DeadlineExceeded):
 		s.timeouts.Inc()
@@ -409,6 +423,11 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		// like every other 503 this server emits.
 		w.Header().Set("Retry-After", "1")
 		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "request cancelled"})
+		return
+	case errors.As(err, &panicked):
+		// A bug in the sweep, recovered by the worker pool: one 500,
+		// without the stack, and the process keeps serving.
+		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: fmt.Sprintf("internal error: %v", panicked.Value)})
 		return
 	case err != nil:
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})

@@ -270,6 +270,53 @@ func TestSimulateRequestValidation(t *testing.T) {
 	}
 }
 
+// TestSimulateBodyLimits: an oversized body is a 413 and an unknown
+// field a 400 that names it; neither builds anything.
+func TestSimulateBodyLimits(t *testing.T) {
+	srv := NewServer(Options{})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	big := `{"network":"MNIST","mode":"orc","prune":"` + strings.Repeat("x", maxRequestBytes) + `"}`
+	if status, body := postSimulate(t, ts.URL, big); status != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized body: status %d (want 413): %.200s", status, body)
+	}
+	status, body := postSimulate(t, ts.URL, `{"network":"MNIST","mode":"orc","config":{"max_window":6}}`)
+	if status != http.StatusBadRequest || !strings.Contains(string(body), "max_window") {
+		t.Errorf("unknown field: status %d (want 400 naming max_window): %s", status, body)
+	}
+	status, body = postSimulate(t, ts.URL, `{"network":"MNIST","mode":"orc","act_sed":3}`)
+	if status != http.StatusBadRequest || !strings.Contains(string(body), "act_sed") {
+		t.Errorf("unknown top-level field: status %d (want 400 naming act_sed): %s", status, body)
+	}
+	if got := srv.Registry().Builds(); got != 0 {
+		t.Fatalf("Builds() = %d after body rejects, want 0", got)
+	}
+}
+
+// TestSweepPanicKeepsServing: a request whose sweep panics on the
+// worker pool (index_bits 70 reaches the shared network as a run-scoped
+// override) fails alone, without a stack in the body, and the same
+// resident network answers the next valid request bit-identically.
+func TestSweepPanicKeepsServing(t *testing.T) {
+	srv := NewServer(Options{})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	status, body := postSimulate(t, ts.URL, `{"network":"MNIST","mode":"orc+dof","config":{"index_bits":70,"max_windows":6}}`)
+	if status < 400 || strings.Contains(string(body), "goroutine") {
+		t.Fatalf("index_bits 70: status %d, body %.300s; want an error without a stack", status, body)
+	}
+	status, body = postSimulate(t, ts.URL, `{"network":"MNIST","mode":"orc+dof","config":{"max_windows":6}}`)
+	if status != http.StatusOK {
+		t.Fatalf("valid request after the failed one: status %d: %s", status, body)
+	}
+	got := decodeSimulate(t, body).Results[0]
+	if want := expect(t, sre.ORCDOF, sre.WithMaxWindows(6)); !reflect.DeepEqual(got, want) {
+		t.Fatalf("served result after the failed request diverged:\n got  %+v\n want %+v", got, want)
+	}
+}
+
 func TestDeadlineExceededDoesNotPoison(t *testing.T) {
 	srv := NewServer(Options{})
 	ts := httptest.NewServer(srv)

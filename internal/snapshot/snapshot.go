@@ -52,6 +52,7 @@ import (
 	"sre/internal/compress"
 	"sre/internal/core"
 	"sre/internal/mapping"
+	"sre/internal/parallel"
 	"sre/internal/quant"
 	"sre/internal/workload"
 
@@ -519,8 +520,8 @@ func WriteFile(path string, k Key, b *workload.Built, o WriteOptions) error {
 // that exists but fails to decode — corruption, version skew, hash
 // mismatch — is a loud error, never a silent rebuild: a shared
 // snapshot directory that has gone bad should be noticed, not
-// papered over.
-func LoadOrBuild(dir string, k Key, o WriteOptions) (*workload.Built, bool, error) {
+// papered over. A build runs its layers on pool (see workload.Build).
+func LoadOrBuild(dir string, k Key, o WriteOptions, pool *parallel.Pool) (*workload.Built, bool, error) {
 	path := filepath.Join(dir, k.FileName())
 	data, err := os.ReadFile(path)
 	switch {
@@ -538,7 +539,7 @@ func LoadOrBuild(dir string, k Key, o WriteOptions) (*workload.Built, bool, erro
 	default:
 		return nil, false, err
 	}
-	b, err := k.Spec.Build(k.Prune, k.Quant, k.Geom, k.Seed)
+	b, err := k.Spec.Build(k.Prune, k.Quant, k.Geom, k.Seed, pool)
 	if err != nil {
 		return nil, false, err
 	}

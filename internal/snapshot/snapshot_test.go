@@ -25,7 +25,7 @@ func testKey(t *testing.T) Key {
 
 func buildKey(t *testing.T, k Key) *workload.Built {
 	t.Helper()
-	b, err := k.Spec.Build(k.Prune, k.Quant, k.Geom, k.Seed)
+	b, err := k.Spec.Build(k.Prune, k.Quant, k.Geom, k.Seed, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestCorruptionPaths(t *testing.T) {
 func TestLoadOrBuild(t *testing.T) {
 	dir := t.TempDir()
 	k := testKey(t)
-	b1, hit, err := LoadOrBuild(dir, k, WriteOptions{MaxWindows: 12})
+	b1, hit, err := LoadOrBuild(dir, k, WriteOptions{MaxWindows: 12}, nil)
 	if err != nil || hit {
 		t.Fatalf("first load: hit=%v err=%v", hit, err)
 	}
@@ -145,7 +145,7 @@ func TestLoadOrBuild(t *testing.T) {
 	if _, err := os.Stat(path); err != nil {
 		t.Fatalf("miss did not persist a snapshot: %v", err)
 	}
-	b2, hit, err := LoadOrBuild(dir, k, WriteOptions{MaxWindows: 12})
+	b2, hit, err := LoadOrBuild(dir, k, WriteOptions{MaxWindows: 12}, nil)
 	if err != nil || !hit {
 		t.Fatalf("second load: hit=%v err=%v", hit, err)
 	}
@@ -161,7 +161,7 @@ func TestLoadOrBuild(t *testing.T) {
 	if err := os.WriteFile(path, img, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := LoadOrBuild(dir, k, WriteOptions{}); !errors.Is(err, ErrCorrupt) {
+	if _, _, err := LoadOrBuild(dir, k, WriteOptions{}, nil); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("corrupt snapshot: got %v, want ErrCorrupt", err)
 	}
 }
@@ -175,7 +175,7 @@ func FuzzDecodeHeader(f *testing.F) {
 	}
 	k := Key{Spec: spec, Prune: workload.SSL, Quant: quant.Default(),
 		Geom: mapping.Default(), Seed: 1}
-	b, err := k.Spec.Build(k.Prune, k.Quant, k.Geom, k.Seed)
+	b, err := k.Spec.Build(k.Prune, k.Quant, k.Geom, k.Seed, nil)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func FuzzDecode(f *testing.F) {
 	}
 	k := Key{Spec: spec, Prune: workload.SSL, Quant: quant.Default(),
 		Geom: mapping.Default(), Seed: 1}
-	b, err := k.Spec.Build(k.Prune, k.Quant, k.Geom, k.Seed)
+	b, err := k.Spec.Build(k.Prune, k.Quant, k.Geom, k.Seed, nil)
 	if err != nil {
 		f.Fatal(err)
 	}

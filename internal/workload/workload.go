@@ -28,14 +28,17 @@
 package workload
 
 import (
+	"context"
 	"fmt"
 	"math"
+	"sort"
 
 	"sre/internal/compress"
 	"sre/internal/core"
 	"sre/internal/isaac"
 	"sre/internal/mapping"
 	"sre/internal/nn"
+	"sre/internal/parallel"
 	"sre/internal/prune"
 	"sre/internal/quant"
 	"sre/internal/tensor"
@@ -233,16 +236,20 @@ func (b *Built) SNrramCells() int64 {
 // magnitude distribution, prunes them per mode, and packages every matrix
 // layer with a synthetic activation source. Each layer uses an
 // independent RNG stream keyed by its path, so results are reproducible
-// and order-independent.
-func (s Spec) Build(mode PruneMode, p quant.Params, g mapping.Geometry, seed uint64) (*Built, error) {
+// and order-independent — which is what lets Build run the layers
+// concurrently on pool (nil or width 1 builds them one by one) and still
+// return the same bits at every width. A panic while building a layer
+// comes back as a *parallel.PanicError.
+func (s Spec) Build(mode PruneMode, p quant.Params, g mapping.Geometry, seed uint64, pool *parallel.Pool) (*Built, error) {
 	net, err := s.Network()
 	if err != nil {
 		return nil, err
 	}
 	root := xrand.New(seed).Split("workload/" + s.Name)
 	infos := net.MatrixLayerInfos()
-	b := &Built{Spec: s, Infos: infos}
-	for _, li := range infos {
+	b := &Built{Spec: s, Infos: infos,
+		Layers: make([]core.Layer, len(infos)), Stats: make([]LayerStats, len(infos))}
+	err = eachLayer(pool, infos, func(i int, li nn.LayerInfo) {
 		w := s.weights(root, mode, li, p)
 		src := compress.NewFloatSource(w, p)
 		st := compress.Build(src, p, g)
@@ -256,11 +263,11 @@ func (s Spec) Build(mode PruneMode, p quant.Params, g mapping.Geometry, seed uin
 		if li.Kind == nn.KindConv {
 			segRows = li.K * li.K
 		}
-		b.Stats = append(b.Stats, LayerStats{
+		b.Stats[i] = LayerStats{
 			WeightZeros: zeros,
 			WeightTotal: int64(len(w.Data())),
 			SNrramCells: compress.SNrramCells(src, p, segRows),
-		})
+		}
 		rowsPerChan := 1
 		if li.Kind == nn.KindConv && li.K > 0 {
 			rowsPerChan = li.K * li.K
@@ -275,14 +282,35 @@ func (s Spec) Build(mode PruneMode, p quant.Params, g mapping.Geometry, seed uin
 			ABits:       p.ABits,
 			Seed:        root.Split("a/" + li.Path).Uint64(),
 		}
-		b.Layers = append(b.Layers, core.Layer{
+		b.Layers[i] = core.Layer{
 			Name: li.Path, Struct: st, Acts: acts,
 			Codes:         core.NewCodePlanes(),
 			OutputBits:    int64(li.Windows) * int64(li.Cols) * int64(p.ABits),
 			ParallelGroup: li.ParallelGroup,
-		})
+		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	return b, nil
+}
+
+// eachLayer calls fn(i, infos[i]) once per layer on pool, handing out
+// the largest weight matrices (rows×cols) first so that the long layers
+// start early instead of trailing the build. fn must write only layer
+// i's own slots.
+func eachLayer(pool *parallel.Pool, infos []nn.LayerInfo, fn func(i int, li nn.LayerInfo)) error {
+	order := make([]int, len(infos))
+	for i := range order {
+		order[i] = i
+	}
+	size := func(i int) int64 { return int64(infos[i].Rows) * int64(infos[i].Cols) }
+	sort.SliceStable(order, func(a, b int) bool { return size(order[a]) > size(order[b]) })
+	return pool.ForDynamic(context.Background(), len(order), 1, func(start, end int) {
+		for _, i := range order[start:end] {
+			fn(i, infos[i])
+		}
+	})
 }
 
 // VariantSources returns one activation source per layer, re-deriving
@@ -355,10 +383,11 @@ func (s Spec) pruneSpecs(mode PruneMode, li nn.LayerInfo) []prune.Spec {
 // AttachOCC returns a copy of layers — Build's layers for the same
 // prune mode, quantization, geometry and seed — with each layer's
 // OU-column compression structure (compress.BuildOCC) attached. It
-// regenerates the weights with Build's own helper, so the structures
-// describe exactly the weights Build compressed. It is kept out of
-// Build so the common experiments do not pay the extra scan.
-func (s Spec) AttachOCC(layers []core.Layer, mode PruneMode, p quant.Params, g mapping.Geometry, seed uint64) ([]core.Layer, error) {
+// regenerates the weights with Build's own helper, on pool through
+// Build's own per-layer loop, so the structures describe exactly the
+// weights Build compressed. It is kept out of Build so the common
+// experiments do not pay the extra scan.
+func (s Spec) AttachOCC(layers []core.Layer, mode PruneMode, p quant.Params, g mapping.Geometry, seed uint64, pool *parallel.Pool) ([]core.Layer, error) {
 	net, err := s.Network()
 	if err != nil {
 		return nil, err
@@ -370,8 +399,11 @@ func (s Spec) AttachOCC(layers []core.Layer, mode PruneMode, p quant.Params, g m
 	root := xrand.New(seed).Split("workload/" + s.Name)
 	out := make([]core.Layer, len(layers))
 	copy(out, layers)
-	for i, li := range infos {
+	err = eachLayer(pool, infos, func(i int, li nn.LayerInfo) {
 		out[i].OCC = compress.BuildOCC(compress.NewFloatSource(s.weights(root, mode, li, p), p), p, g)
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -381,10 +413,18 @@ func (s Spec) AttachOCC(layers []core.Layer, mode PruneMode, p quant.Params, g m
 // high cell groups of most weights are zero (the Fig. 4 bit-level
 // effect), then the prune mode's zero passes, then the slice cap. Build
 // and AttachOCC both call it, so the OCC structures describe exactly
-// the weights Build compressed.
+// the weights Build compressed. Every element is drawn, so a conv
+// layer's matrix is allocated fresh rather than transposed from its
+// all-zero tensor; an FC layer's is its own W (aliased, so no second
+// buffer of the largest layers is held).
 func (s Spec) weights(root *xrand.RNG, mode PruneMode, li nn.LayerInfo, p quant.Params) *tensor.Tensor {
 	r := root.Split("w/" + li.Path)
-	w := li.Layer.WeightMatrix()
+	var w *tensor.Tensor
+	if li.Kind == nn.KindConv {
+		w = tensor.New(li.Rows, li.Cols)
+	} else {
+		w = li.Layer.WeightMatrix()
+	}
 	d := w.Data()
 	for i := range d {
 		d[i] = float32(r.NormFloat64() * 0.3)

@@ -1,10 +1,14 @@
 package workload
 
 import (
+	"errors"
 	"math"
+	"reflect"
 	"testing"
 
+	"sre/internal/core"
 	"sre/internal/mapping"
+	"sre/internal/parallel"
 	"sre/internal/quant"
 )
 
@@ -74,7 +78,7 @@ func TestParameterCounts(t *testing.T) {
 
 func TestBuildSmallNetworkSparsities(t *testing.T) {
 	s, _ := SpecByName("MNIST")
-	b, err := s.Build(SSL, quant.Default(), mapping.Default(), 1)
+	b, err := s.Build(SSL, quant.Default(), mapping.Default(), 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,11 +99,11 @@ func TestBuildSmallNetworkSparsities(t *testing.T) {
 
 func TestBuildDeterminism(t *testing.T) {
 	s, _ := SpecByName("CIFAR-10")
-	a, err := s.Build(SSL, quant.Default(), mapping.Default(), 7)
+	a, err := s.Build(SSL, quant.Default(), mapping.Default(), 7, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := s.Build(SSL, quant.Default(), mapping.Default(), 7)
+	b, err := s.Build(SSL, quant.Default(), mapping.Default(), 7, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,11 +159,11 @@ func TestOctavesSkewSliceDensity(t *testing.T) {
 func TestGSLVsSSLStructure(t *testing.T) {
 	s, _ := SpecByName("CIFAR-10")
 	p, g := quant.Default(), mapping.Default()
-	ssl, err := s.Build(SSL, p, g, 2)
+	ssl, err := s.Build(SSL, p, g, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gsl, err := s.Build(GSL, p, g, 2)
+	gsl, err := s.Build(GSL, p, g, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +181,7 @@ func TestGSLVsSSLStructure(t *testing.T) {
 
 func TestISAACInputs(t *testing.T) {
 	s, _ := SpecByName("MNIST")
-	b, err := s.Build(SSL, quant.Default(), mapping.Default(), 1)
+	b, err := s.Build(SSL, quant.Default(), mapping.Default(), 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +198,7 @@ func TestISAACInputs(t *testing.T) {
 
 func TestNoPruneKeepsWeightsDense(t *testing.T) {
 	s, _ := SpecByName("MNIST")
-	b, err := s.Build(NoPrune, quant.Default(), mapping.Default(), 3)
+	b, err := s.Build(NoPrune, quant.Default(), mapping.Default(), 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +210,7 @@ func TestNoPruneKeepsWeightsDense(t *testing.T) {
 func TestWeightSparsityBuiltTracksTarget(t *testing.T) {
 	for _, name := range []string{"MNIST", "CIFAR-10"} {
 		s, _ := SpecByName(name)
-		b, err := s.Build(SSL, quant.Default(), mapping.Default(), 4)
+		b, err := s.Build(SSL, quant.Default(), mapping.Default(), 4, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -219,7 +223,7 @@ func TestWeightSparsityBuiltTracksTarget(t *testing.T) {
 
 func TestSNrramCellsPositive(t *testing.T) {
 	s, _ := SpecByName("CIFAR-10")
-	b, err := s.Build(SSL, quant.Default(), mapping.Default(), 5)
+	b, err := s.Build(SSL, quant.Default(), mapping.Default(), 5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,11 +240,11 @@ func TestSNrramCellsPositive(t *testing.T) {
 func TestBuildOCCStructuresAligned(t *testing.T) {
 	s, _ := SpecByName("MNIST")
 	p, g := quant.Default(), mapping.Default()
-	b, err := s.Build(SSL, p, g, 6)
+	b, err := s.Build(SSL, p, g, 6, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	layers, err := s.AttachOCC(b.Layers, SSL, p, g, 6)
+	layers, err := s.AttachOCC(b.Layers, SSL, p, g, 6, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +263,7 @@ func TestBuildOCCStructuresAligned(t *testing.T) {
 			t.Fatal("OCC kept more cells than exist")
 		}
 	}
-	if _, err := s.AttachOCC(b.Layers[:1], SSL, p, g, 6); err == nil {
+	if _, err := s.AttachOCC(b.Layers[:1], SSL, p, g, 6, nil); err == nil {
 		t.Fatal("AttachOCC accepted a layer slice of the wrong length")
 	}
 }
@@ -282,11 +286,11 @@ func TestOCCSeesBuildWeights(t *testing.T) {
 					t.Fatal(err)
 				}
 				s.SliceCap = sliceCap
-				b, err := s.Build(mode, p, g, 3)
+				b, err := s.Build(mode, p, g, 3, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				layers, err := s.AttachOCC(b.Layers, mode, p, g, 3)
+				layers, err := s.AttachOCC(b.Layers, mode, p, g, 3, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -311,9 +315,60 @@ func TestOCCSeesBuildWeights(t *testing.T) {
 	}
 }
 
+// TestBuildWidthInvariant checks the layer-parallel build and OCC
+// attach against their one-worker runs: same per-layer stats and
+// identical OCC structures at width 8. (The snapshot-digest test in
+// package sre pins the full built bytes.)
+func TestBuildWidthInvariant(t *testing.T) {
+	p, g := quant.Default(), mapping.Default()
+	for _, name := range []string{"MNIST", "CIFAR-10"} {
+		for _, mode := range []PruneMode{SSL, GSL} {
+			s, err := SpecByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var stats [2][]LayerStats
+			var occ [2][]core.Layer
+			for i, workers := range []int{1, 8} {
+				b, err := s.Build(mode, p, g, 5, parallel.New(workers))
+				if err != nil {
+					t.Fatal(err)
+				}
+				stats[i] = b.Stats
+				if occ[i], err = s.AttachOCC(b.Layers, mode, p, g, 5, parallel.New(workers)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !reflect.DeepEqual(stats[0], stats[1]) {
+				t.Fatalf("%s/%v: layer stats differ between 1 and 8 workers", name, mode)
+			}
+			for i := range occ[0] {
+				if !reflect.DeepEqual(occ[0][i].OCC, occ[1][i].OCC) {
+					t.Fatalf("%s/%v layer %s: OCC structures differ between 1 and 8 workers", name, mode, occ[0][i].Name)
+				}
+			}
+		}
+	}
+}
+
+// TestBuildPanicIsError: a layer whose build panics (here, an OU
+// height the mapper rejects) fails Build with the recovered panic at
+// every width instead of killing the process.
+func TestBuildPanicIsError(t *testing.T) {
+	s, _ := SpecByName("MNIST")
+	g := mapping.Default()
+	g.SWL = 0
+	for _, pool := range []*parallel.Pool{nil, parallel.New(4)} {
+		var pe *parallel.PanicError
+		if _, err := s.Build(SSL, quant.Default(), g, 1, pool); !errors.As(err, &pe) {
+			t.Fatalf("width %d: err = %v, want a *parallel.PanicError", pool.Workers(), err)
+		}
+	}
+}
+
 func TestOutputBitsSet(t *testing.T) {
 	s, _ := SpecByName("MNIST")
-	b, err := s.Build(SSL, quant.Default(), mapping.Default(), 7)
+	b, err := s.Build(SSL, quant.Default(), mapping.Default(), 7, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

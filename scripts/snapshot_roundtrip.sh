@@ -4,7 +4,9 @@
 # run it again against the now-warm directory (loads the artifact), and
 # require byte-identical simulation output — the bit-identity contract
 # of DESIGN.md §6. Also proves a second design point gets its own
-# artifact rather than colliding with the first.
+# artifact rather than colliding with the first, and that the build's
+# bytes do not depend on the worker-pool width (layers are built
+# concurrently on the pool).
 # Usage: snapshot_roundtrip.sh <path-to-sresim-binary>
 set -eu
 
@@ -37,4 +39,16 @@ if [ "$COUNT" -ne 2 ]; then
 	exit 1
 fi
 
-echo "snapshot_roundtrip: OK (fresh and snapshot-loaded outputs identical)"
+# The same build at two pool widths must persist byte-identical artifacts.
+for w in 1 4; do
+	"$BIN" -network CIFAR-10 -mode orc+dof -windows 12 -workers "$w" \
+		-snapshot-dir "$DIR/width$w" >/dev/null
+done
+A=$(ls "$DIR/width1"/*.sresnap)
+B=$(ls "$DIR/width4"/*.sresnap)
+if ! cmp "$A" "$B"; then
+	echo "snapshot_roundtrip: CIFAR-10 artifacts built at -workers 1 and -workers 4 differ" >&2
+	exit 1
+fi
+
+echo "snapshot_roundtrip: OK (fresh and snapshot-loaded outputs identical; artifacts identical across widths)"

@@ -248,7 +248,7 @@ type Config struct {
 	MaxWindows     int // per-layer window sampling cap; 0 = all windows
 	SliceCap       int // weight bit-slice cap at build time; 0 = off (see WithSliceCap)
 	Seed           uint64
-	Workers        int // simulation worker-pool width; 0 = GOMAXPROCS
+	Workers        int // build and simulation worker-pool width; 0 = GOMAXPROCS
 }
 
 // DefaultConfig returns the paper's Table 1 design point.
@@ -324,9 +324,10 @@ func WithSeed(seed uint64) Option { return func(s *settings) { s.cfg.Seed = seed
 // WithMaxWindows caps per-layer window sampling (0 = all windows).
 func WithMaxWindows(n int) Option { return func(s *settings) { s.cfg.MaxWindows = n } }
 
-// WithWorkers sets the simulation worker-pool width (0 = GOMAXPROCS).
-// Results are bit-identical at any width; WithWorkers(1) forces the
-// serial path.
+// WithWorkers sets the worker-pool width (0 = GOMAXPROCS) that Load
+// and Build build the layers on and that runs simulate on. Built
+// networks and results are bit-identical at any width; WithWorkers(1)
+// forces the serial path.
 func WithWorkers(n int) Option { return func(s *settings) { s.cfg.Workers = n } }
 
 // WithSparsity sets Build's overall weight and activation sparsity
@@ -615,14 +616,14 @@ func buildNetwork(spec workload.Spec, s settings) (*Network, error) {
 		} else {
 			wopts.IndexBits = spec.IndexBits
 		}
-		built, hit, err := snapshot.LoadOrBuild(s.snapshotDir, key, wopts)
+		built, hit, err := snapshot.LoadOrBuild(s.snapshotDir, key, wopts, parallel.New(s.cfg.Workers))
 		if err != nil {
 			return nil, err
 		}
 		return &Network{name: spec.Name, spec: spec, built: built, cfg: s.cfg,
 			style: s.style, progress: s.progress, fromSnapshot: hit}, nil
 	}
-	built, err := spec.Build(mode, s.cfg.params(), s.cfg.geometry(), s.cfg.Seed)
+	built, err := spec.Build(mode, s.cfg.params(), s.cfg.geometry(), s.cfg.Seed, parallel.New(s.cfg.Workers))
 	if err != nil {
 		return nil, err
 	}
@@ -881,7 +882,8 @@ func (n *Network) RunBatchContext(ctx context.Context, modes []Mode, sets []Acti
 	if err != nil {
 		return nil, err
 	}
-	layers, err := n.layersFor(cms...)
+	pool := parallel.New(s.cfg.Workers)
+	layers, err := n.layersFor(pool, cms...)
 	if err != nil {
 		return nil, err
 	}
@@ -892,7 +894,6 @@ func (n *Network) RunBatchContext(ctx context.Context, modes []Mode, sets []Acti
 		}
 	}
 	indexBits := n.indexBitsFor(s.cfg)
-	pool := parallel.New(s.cfg.Workers)
 	cfg := core.Config{
 		Geometry:    n.cfg.geometry(),
 		Quant:       n.cfg.params(),
@@ -952,11 +953,11 @@ func (n *Network) RunBatchContext(ctx context.Context, modes []Mode, sets []Acti
 
 // layersFor returns the layers the given modes simulate over: the built
 // layers, or — when a mode needs OCC structures — a copy of them with
-// the lazily built OCC structures attached. The build runs outside the
-// mutex (SizeBytes takes it, and sreserved's registry calls SizeBytes
+// the lazily built OCC structures attached, built on the run's pool.
+// The build runs outside the mutex (SizeBytes takes it, and sreserved's registry calls SizeBytes
 // under its own lock); racing builds are bit-identical and the first
 // one published wins.
-func (n *Network) layersFor(cms ...core.Mode) ([]core.Layer, error) {
+func (n *Network) layersFor(pool *parallel.Pool, cms ...core.Mode) ([]core.Layer, error) {
 	if !slices.ContainsFunc(cms, func(cm core.Mode) bool { return cm.Scheme.RequiresOCC() }) {
 		return n.built.Layers, nil
 	}
@@ -970,7 +971,7 @@ func (n *Network) layersFor(cms ...core.Mode) ([]core.Layer, error) {
 	if err != nil {
 		return nil, err
 	}
-	layers, err = n.spec.AttachOCC(n.built.Layers, mode, n.cfg.params(), n.cfg.geometry(), n.cfg.Seed)
+	layers, err = n.spec.AttachOCC(n.built.Layers, mode, n.cfg.params(), n.cfg.geometry(), n.cfg.Seed, pool)
 	if err != nil {
 		return nil, err
 	}
@@ -1059,7 +1060,7 @@ func (n *Network) CompressionRatio(mode Mode) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	layers, err := n.layersFor(cm)
+	layers, err := n.layersFor(parallel.New(n.cfg.Workers), cm)
 	if err != nil {
 		return 0, err
 	}

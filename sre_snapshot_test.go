@@ -2,6 +2,8 @@ package sre
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"os"
 	"path/filepath"
@@ -255,6 +257,48 @@ func BenchmarkColdStartOpenSnapshot(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := OpenSnapshot(path); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// buildDigests pins the SHA-256 of WriteTo for the small Table-2
+// networks under both prune styles, with and without a slice cap. The
+// digests were recorded when Load still built its layers one after
+// another; building them on the worker pool must not move a byte.
+var buildDigests = []struct {
+	network  string
+	prune    PruneStyle
+	sliceCap int
+	sha256   string
+}{
+	{"MNIST", SSL, 0, "201b5730293c01c322d762f093afb041c4a47bd8f74464b4d34e870efb412d8f"},
+	{"MNIST", SSL, 2, "854d234795112f54ac7a50203bdf8729ef1c4ef0139a84ffe5f5be0376b23dbd"},
+	{"MNIST", GSL, 0, "009133530ef863dd39671a11b4e3f3bdc3497ee413f5af329e7a0f51c3ef6a27"},
+	{"MNIST", GSL, 2, "85cf162dfed51e1737665f955b151372101e73902d4095d3a7dd09c2b8913a6b"},
+	{"CIFAR-10", SSL, 0, "9d217086af40d9bbfb0abf23d427f63d11982560cdf9f455b63faf19822014e2"},
+	{"CIFAR-10", SSL, 2, "e2afaafec0f061326e19ce7d2d17b8d56fc04a4572e5179256372c2e29a9a8aa"},
+	{"CIFAR-10", GSL, 0, "96fcd80b05b62e8c98a480833fde8c2f8f4524e12358995d8cd945dea4ffb98d"},
+	{"CIFAR-10", GSL, 2, "afeaa7c9abf260271cb6204594cb598d951a2348e7642eda437dd50d22e0eb40"},
+}
+
+// TestBuildBytesPinnedAcrossWidths asserts the pinned snapshot digests
+// at several worker-pool widths: the layer-parallel build is
+// bit-identical to the serial one.
+func TestBuildBytesPinnedAcrossWidths(t *testing.T) {
+	for _, c := range buildDigests {
+		for _, workers := range []int{1, 2, 8} {
+			net, err := Load(c.network, WithPrune(c.prune), WithSliceCap(c.sliceCap), WithWorkers(workers))
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := sha256.New()
+			if _, err := net.WriteTo(h); err != nil {
+				t.Fatal(err)
+			}
+			if got := hex.EncodeToString(h.Sum(nil)); got != c.sha256 {
+				t.Errorf("%s prune %v slice cap %d at %d workers: WriteTo sha256 %s, want %s",
+					c.network, c.prune, c.sliceCap, workers, got, c.sha256)
+			}
 		}
 	}
 }
