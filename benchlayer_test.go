@@ -60,8 +60,11 @@ func benchLayer(b *testing.B) core.Layer {
 func benchSimulateLayer(b *testing.B, scalar bool) {
 	layer := benchLayer(b)
 	ctx := context.Background()
-	for _, mode := range []core.Mode{core.ModeBaseline, core.ModeORC, core.ModeDOF, core.ModeORCDOF} {
-		mode := mode
+	// The eight Modes() registry modes (OCC, the opt-in ninth, is not a
+	// kernel path: it has no phase 1 and no scalar variant).
+	modes := []core.Mode{core.ModeBaseline, core.ModeNaive, core.ModeReCom, core.ModeORC,
+		core.ModeDOF, core.ModeORCDOF, core.ModeWSS, core.ModeORCDOFWSS}
+	for _, mode := range modes {
 		b.Run(mode.String(), func(b *testing.B) {
 			cfg := core.DefaultConfig()
 			cfg.Mode = mode

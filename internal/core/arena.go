@@ -42,9 +42,7 @@ type tileAcc struct {
 
 // layerScratch is one simulateLayer call's allocation block: the plan
 // grid, DOF work slots, and tile accumulators, sized (and re-zeroed
-// where required) per checkout. The kernel and OCC paths always run on
-// a pooled block; the scalar reference path keeps its historical fresh
-// allocations by calling the methods on a nil block.
+// where required) per checkout. Every simulateLayer call runs on one.
 type layerScratch struct {
 	planBack []tilePlan
 	planRows [][]tilePlan
@@ -72,9 +70,6 @@ func (ls *layerScratch) release() { layerScratchPool.Put(ls) }
 // previous run's plan pointers, and recordStaticOccupancy dispatches on
 // which tilePlan fields are non-nil.
 func (ls *layerScratch) tilePlans(rowBlocks, colBlocks int) [][]tilePlan {
-	if ls == nil {
-		ls = &layerScratch{}
-	}
 	n := rowBlocks * colBlocks
 	if cap(ls.planBack) < n {
 		ls.planBack = make([]tilePlan, n)
@@ -98,9 +93,6 @@ func (ls *layerScratch) tilePlans(rowBlocks, colBlocks int) [][]tilePlan {
 // writes every slot for every sampled window before phase 2 reads any,
 // and on early cancellation the layer errors out before the read.
 func (ls *layerScratch) workSlots(n int) []batchWork {
-	if ls == nil {
-		ls = &layerScratch{}
-	}
 	if cap(ls.work) < n {
 		ls.work = make([]batchWork, n)
 	}
@@ -111,9 +103,6 @@ func (ls *layerScratch) workSlots(n int) []batchWork {
 // tileAccs returns n zeroed tile accumulators (phase 2 accumulates
 // into them, so stale totals would corrupt results).
 func (ls *layerScratch) tileAccs(n int) []tileAcc {
-	if ls == nil {
-		ls = &layerScratch{}
-	}
 	if cap(ls.accs) < n {
 		ls.accs = make([]tileAcc, n)
 		return ls.accs

@@ -13,17 +13,17 @@ import (
 // TestGoldenCodeCacheBitIdentical is the code-plane cache's identity
 // proof: for every mode, worker count, and sampling setting, a layer
 // that carries a CodePlanes must produce exactly the LayerResult of the
-// same layer without one, and of a cached layer run with
-// Config.NoCodeCache — same Cycles, Stalls, OUEvents, Fetches, and
-// bit-for-bit the same Energy floats. One CodePlanes instance persists
-// across all runs, so later iterations also prove reads of an
-// already-built plane stay identical.
+// same layer without one, under the kernel path and under the scalar
+// reference (which reads the cached plane too) — same Cycles, Stalls,
+// OUEvents, Fetches, and bit-for-bit the same Energy floats. One
+// CodePlanes instance persists across all runs, so later iterations
+// also prove reads of an already-built plane stay identical.
 func TestGoldenCodeCacheBitIdentical(t *testing.T) {
 	uncached := goldenLayer(t)
 	cached := uncached
 	cached.Codes = NewCodePlanes()
 	ctx := context.Background()
-	modes := []Mode{ModeBaseline, ModeNaive, ModeReCom, ModeORC, ModeDOF, ModeORCDOF}
+	modes := []Mode{ModeBaseline, ModeNaive, ModeReCom, ModeORC, ModeDOF, ModeORCDOF, ModeWSS, ModeORCDOFWSS}
 	for _, mode := range modes {
 		for _, workers := range []int{1, 0} {
 			for _, maxWin := range []int{0, 4} {
@@ -43,13 +43,13 @@ func TestGoldenCodeCacheBitIdentical(t *testing.T) {
 				if got != want {
 					t.Fatalf("%s: cached %+v != uncached %+v", tag, got, want)
 				}
-				cfg.NoCodeCache = true
-				optOut, err := SimulateLayerContext(ctx, cached, cfg)
+				cfg.ScalarReference = true
+				scalar, err := SimulateLayerContext(ctx, cached, cfg)
 				if err != nil {
-					t.Fatalf("%s opt-out: %v", tag, err)
+					t.Fatalf("%s cached scalar: %v", tag, err)
 				}
-				if optOut != want {
-					t.Fatalf("%s: NoCodeCache %+v != uncached %+v", tag, optOut, want)
+				if scalar != want {
+					t.Fatalf("%s: cached scalar %+v != uncached %+v", tag, scalar, want)
 				}
 			}
 		}
@@ -59,10 +59,13 @@ func TestGoldenCodeCacheBitIdentical(t *testing.T) {
 // TestGoldenCodeCacheMeteredIdentical repeats the identity with a
 // metrics registry attached and reconciles the cache counters: distinct
 // sampled-window counts build distinct planes exactly once, every other
-// lookup hits, and the opted-out run touches none of them.
+// lookup hits, and a metered run of the same layer without code planes
+// reports the same result and touches none of them.
 func TestGoldenCodeCacheMeteredIdentical(t *testing.T) {
 	layer := goldenLayer(t)
 	layer.Codes = NewCodePlanes()
+	bare := layer
+	bare.Codes = nil
 	ctx := context.Background()
 	reg := metrics.NewRegistry()
 	modes := []Mode{ModeBaseline, ModeNaive, ModeReCom, ModeORC, ModeDOF, ModeORCDOF}
@@ -85,7 +88,14 @@ func TestGoldenCodeCacheMeteredIdentical(t *testing.T) {
 			if metered != plain {
 				t.Fatalf("%v maxWin=%d: metered %+v != unmetered %+v", mode, maxWin, metered, plain)
 			}
-			lookups++ // only the metered run feeds the counters
+			lookups++ // only the metered cached run feeds the counters
+			uncached, err := SimulateLayerContext(ctx, bare, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if uncached != plain {
+				t.Fatalf("%v maxWin=%d: metered uncached %+v != cached %+v", mode, maxWin, uncached, plain)
+			}
 		}
 	}
 	snap := reg.Snapshot()

@@ -116,13 +116,6 @@ type Config struct {
 	NoC        noc.Config    // zero value disables interconnect accounting
 	Buffer     buffer.Config // zero value assumes the §5.3 one-cycle fetch
 
-	// NoCodeCache disables the layer-level window-code plane cache
-	// (Layer.Codes): every mode goes back to reading the
-	// ActivationSource per window, as the pre-cache simulator did.
-	// Results are bit-identical either way; the switch exists for
-	// memory-constrained runs and as the golden comparison baseline.
-	NoCodeCache bool
-
 	// Workers is the simulation worker-pool width (0 = GOMAXPROCS).
 	// Results are bit-identical at every width.
 	Workers int
@@ -145,7 +138,10 @@ type Config struct {
 
 	// ScalarReference, when true, routes plan building and the DOF
 	// inner loop through the pre-kernel scalar implementation (per-call
-	// plan rebuilds, per-group bitset intersections). It exists as the
+	// plan rebuilds, per-group bitset intersections). It is read at one
+	// dispatch point: the plan switch in simulateLayer, which picks the
+	// tile plans and the phase-1 body together. Code planes, scratch,
+	// sharding and batching are the shared engine's. It exists as the
 	// golden reference the word-plane kernel path is proven
 	// bit-identical against, and as the before/after benchmark baseline
 	// — never as a production configuration.
@@ -364,8 +360,8 @@ type Layer struct {
 	// Codes, when non-nil, caches the layer's sampled window codes so
 	// RunAll's modes (and repeated layer runs) share one
 	// materialization instead of re-reading Acts per mode
-	// (workload.Build attaches one to every layer). Config.NoCodeCache
-	// opts a run out.
+	// (workload.Build attaches one to every layer). A nil Codes reads
+	// Acts per window.
 	Codes *CodePlanes
 	// OutputBits is the layer's output feature-map size; when the config
 	// carries an interconnect, handing it to the next layer's PEs costs
@@ -656,7 +652,7 @@ func simulateLayer(ctx context.Context, l Layer, cfg Config, pool *parallel.Pool
 		}
 	}
 	single := len(sources) == 1 && sources[0] == l.Acts
-	if !single && (!cfg.Mode.DOF || !uniform || cfg.ScalarReference) {
+	if !single && (!cfg.Mode.DOF || !uniform) {
 		return simulateEach(ctx, l, cfg, pool, sources, out)
 	}
 
@@ -684,14 +680,13 @@ func simulateLayer(ctx context.Context, l Layer, cfg Config, pool *parallel.Pool
 	msh := cfg.Metrics.Shard()
 
 	// Resolve the layer's shared window-code plane; it serves the inputs
-	// bound to the layer's own source. Every non-scalar mode performs the
-	// lookup — not just the DOF modes that read the codes — so the
-	// cache's hit/miss algebra is deterministic for a fixed workload:
-	// misses == builds == distinct sampled counts, hits == lookups −
-	// builds, regardless of mode order. The scalar reference path keeps
-	// its historical per-call source reads.
+	// bound to the layer's own source. Every mode performs the lookup —
+	// not just the DOF modes that read the codes — so the cache's
+	// hit/miss algebra is deterministic for a fixed workload: misses ==
+	// builds == distinct sampled counts, hits == lookups − builds,
+	// regardless of mode order.
 	var plane []uint32
-	if l.Codes != nil && !cfg.NoCodeCache && !cfg.ScalarReference {
+	if l.Codes != nil {
 		plane = l.Codes.plane(l.Acts, lay.Rows, sampled, windows, codeCacheMetrics{
 			hits:   msh.Counter("sre_core_code_cache_hits_total"),
 			misses: msh.Counter("sre_core_code_cache_misses_total"),
@@ -700,26 +695,24 @@ func simulateLayer(ctx context.Context, l Layer, cfg Config, pool *parallel.Pool
 		})
 	}
 
-	// Non-scalar paths run on a pooled scratch block (plan grid, DOF
-	// work slots, tile accumulators); the scalar reference keeps fresh
-	// allocations (a nil block) so the golden baseline's behavior is
-	// untouched.
-	var ls *layerScratch
-	if !cfg.ScalarReference {
-		ls = getLayerScratch(arenaMetrics{
-			gets: msh.Counter(`sre_core_arena_gets_total{arena="layer"}`),
-			news: msh.Counter(`sre_core_arena_news_total{arena="layer"}`),
-		})
-		defer ls.release()
-	}
+	// The run's transient state (plan grid, DOF work slots, tile
+	// accumulators) lives on a pooled scratch block.
+	ls := getLayerScratch(arenaMetrics{
+		gets: msh.Counter(`sre_core_arena_gets_total{arena="layer"}`),
+		news: msh.Counter(`sre_core_arena_news_total{arena="layer"}`),
+	})
+	defer ls.release()
 
-	// Per-tile plans. The row-compression plans (and their word-plane
-	// flattening) are memoized on the Structure per (scheme, indexBits),
-	// so RunAll's modes and repeated runs share one build; only the
-	// mode-dependent fetch shape is derived here. The scalar reference
-	// path instead rebuilds everything per call, as the pre-kernel
-	// simulator did.
+	// Per-tile plans and the phase-1 body. The row-compression plans
+	// (and their word-plane flattening) are memoized on the Structure per
+	// (scheme, indexBits), so RunAll's modes and repeated runs share one
+	// build; only the mode-dependent fetch shape is derived here. This
+	// switch is the one place the scalar reference is selected: it
+	// rebuilds every plan per call, as the pre-kernel simulator did, and
+	// counts with its per-bit phase-1 body.
 	var plans [][]tilePlan
+	var err error
+	phase1 := kernelPhase1
 	switch {
 	case cfg.Mode.Scheme == compress.OCC:
 		plans = ls.tilePlans(lay.RowBlocks, lay.ColBlocks)
@@ -736,17 +729,13 @@ func simulateLayer(ctx context.Context, l Layer, cfg Config, pool *parallel.Pool
 			}
 		}
 	case cfg.ScalarReference:
-		var err error
-		plans, err = scalarTilePlans(ctx, l, cfg)
-		if err != nil {
-			return err
-		}
+		plans, err = scalarTilePlans(ctx, l, cfg, ls)
+		phase1 = scalarPhase1
 	default:
-		var err error
 		plans, err = kernelTilePlans(ctx, l, cfg, ls, msh)
-		if err != nil {
-			return err
-		}
+	}
+	if err != nil {
+		return err
 	}
 
 	// Phase 1: per-window batch work over the flattened (input, window)
@@ -785,28 +774,22 @@ func simulateLayer(ctx context.Context, l Layer, cfg Config, pool *parallel.Pool
 			}
 		}
 		work = ls.workSlots(n * sampled * nTiles)
-		var phase1 func(start, end int)
-		if cfg.ScalarReference {
-			phase1 = scalarPhase1(ctx, l, cfg, plans, work, sampled, windows)
-		} else {
-			phase1 = kernelPhase1(ctx, l, cfg, plans, work, sampled, windows, inputs)
-		}
+		body := phase1(ctx, l, cfg, plans, work, sampled, windows, inputs)
 		total := n * sampled
-		var err error
 		switch {
 		case cached:
 			// Cached codes need no source reads, so the window loop can
 			// rebalance freely: dynamic chunked sharding absorbs the skew
 			// of activation-dependent window costs. Result slots stay
 			// disjoint, so bit-identity is unaffected.
-			err = pool.ForDynamic(ctx, total, parallel.ChunkFor(total, pool.Workers()), phase1)
+			err = pool.ForDynamic(ctx, total, parallel.ChunkFor(total, pool.Workers()), body)
 		case clonable:
-			err = pool.For(ctx, total, phase1)
+			err = pool.For(ctx, total, body)
 		default:
 			// A source that cannot give workers private views is read
 			// from a single shard (tiles still parallelize below).
 			var serial *parallel.Pool
-			err = serial.For(ctx, total, phase1)
+			err = serial.For(ctx, total, body)
 		}
 		if err != nil {
 			return err
@@ -819,7 +802,7 @@ func simulateLayer(ctx context.Context, l Layer, cfg Config, pool *parallel.Pool
 	// of additions) as the serial simulator.
 	accs := ls.tileAccs(n * nTiles)
 	cycleTime := cfg.CycleTime()
-	err := pool.For(ctx, nTiles, func(start, end int) {
+	err = pool.For(ctx, nTiles, func(start, end int) {
 		for t := start; t < end; t++ {
 			if ctx.Err() != nil {
 				return
@@ -870,10 +853,10 @@ func simulateLayer(ctx context.Context, l Layer, cfg Config, pool *parallel.Pool
 // simulateEach runs the inputs the one-pass engine does not batch.
 // Static modes read the activations only through Windows(), so one run
 // over the layer's own source serves every input that agrees on its
-// window count. The rest — DOF under the scalar golden reference, or
-// inputs that disagree on the window count (so the flattened
-// (input, window) space would not be rectangular) — run one input at a
-// time, the semantics the batched pass is proven against.
+// window count. The rest — DOF inputs that disagree on the window count
+// (so the flattened (input, window) space would not be rectangular) —
+// run one input at a time, the semantics the batched pass is proven
+// against.
 func simulateEach(ctx context.Context, l Layer, cfg Config, pool *parallel.Pool,
 	sources []ActivationSource, out []LayerResult) error {
 	windows := l.Acts.Windows()
@@ -1006,11 +989,41 @@ func phase3Reduce(l Layer, cfg Config, plans [][]tilePlan, accs []tileAcc, windo
 // p1Input is one activation input's phase-1 view. Exactly one of the
 // derivation tiers is used per window: the cached slice-mask plane
 // (mp), the cached code plane (plane), or a per-worker clone of the
-// source (acts). The engine passes one per batch input.
+// source (acts). The engine passes one per batch input. The scalar
+// reference skips the mask tier: it derives its masks bit by bit from
+// the codes.
 type p1Input struct {
 	plane []uint32
 	mp    *maskPlane
 	acts  ActivationSource
+}
+
+// p1Reader hands one phase-1 shard the codes of each window: a slice of
+// the input's code plane, or else buf filled through a shard-private
+// clone of the input's source, re-cloned only when the shard crosses
+// into another input. Both phase-1 bodies read through it.
+type p1Reader struct {
+	inputs           []p1Input
+	sampled, windows int
+	acts             ActivationSource
+	actsInput        int // the input acts clones; -1 before the first
+}
+
+func newP1Reader(inputs []p1Input, sampled, windows int) p1Reader {
+	return p1Reader{inputs: inputs, sampled: sampled, windows: windows, actsInput: -1}
+}
+
+// codes returns input ji's codes for sampled window wi.
+func (r *p1Reader) codes(ji, wi int, buf []uint32) []uint32 {
+	in := &r.inputs[ji]
+	if in.plane != nil {
+		return in.plane[wi*len(buf) : (wi+1)*len(buf)]
+	}
+	if r.actsInput != ji {
+		r.acts, r.actsInput = cloneSource(in.acts), ji
+	}
+	r.acts.WindowCodes(wi*r.windows/r.sampled, buf)
+	return buf
 }
 
 // kernelPhase1 returns the word-plane phase-1 shard body over the
@@ -1033,11 +1046,7 @@ func kernelPhase1(ctx context.Context, l Layer, cfg Config, plans [][]tilePlan,
 	return func(start, end int) {
 		scr := getP1Scratch(lay, spi, cfg.Metrics)
 		defer scr.release()
-		// Source clones are established lazily per input as the shard
-		// crosses input boundaries (at most once per boundary per chunk).
-		var acts ActivationSource
-		actsInput := -1
-		codes := scr.codes
+		rd := newP1Reader(inputs, sampled, windows)
 		masks := scr.masks
 		nonEmpty := scr.nonEmpty
 		counts := scr.counts
@@ -1060,15 +1069,7 @@ func kernelPhase1(ctx context.Context, l Layer, cfg Config, plans [][]tilePlan,
 			if mp == nil {
 				// No cached masks: derive them from the codes (cached
 				// plane or source read) into this worker's scratch.
-				if in.plane != nil {
-					codes = in.plane[wi*lay.Rows : (wi+1)*lay.Rows]
-				} else {
-					if actsInput != ji {
-						acts, actsInput = cloneSource(in.acts), ji
-					}
-					codes = scr.codes
-					acts.WindowCodes(wi*windows/sampled, codes)
-				}
+				codes := rd.codes(ji, wi, scr.codes)
 				for rb := 0; rb < lay.RowBlocks; rb++ {
 					lo := rb * g.XbarRows
 					hi := lo + lay.TileRows(rb)

@@ -21,6 +21,19 @@ func (c *cloneableSource) CloneSource() ActivationSource {
 	return &d
 }
 
+// scratchSource is a non-cloneable sliceSource that stages every
+// window through one shared buffer, as TensorSource stages its im2col
+// gather: two concurrent readers race on it.
+type scratchSource struct {
+	sliceSource
+	buf []uint32
+}
+
+func (s *scratchSource) WindowCodes(w int, dst []uint32) {
+	s.buf = append(s.buf[:0], s.rows[w]...)
+	copy(dst, s.buf)
+}
+
 // goldenLayer builds a multi-tile layer: 200 rows → two row blocks
 // (128 + a non-word-aligned 72), 20 logical columns → 160 physical →
 // two column blocks, sparse weights and activations, several windows.
@@ -83,14 +96,15 @@ func TestGoldenKernelMatchesScalar(t *testing.T) {
 // TestGoldenBatchMatchesScalar checks the batched engine against the
 // only oracle independent of it: each batch input's result must equal
 // a ScalarReference run of that input alone, field for field, for
-// every mode and worker count. The batches cover each phase-1 route:
-// the layer's own cached source (dynamic sharding over the code
-// plane), substituted cloneable sources (static sharding), a
-// non-cloneable source (one serial shard), and a source with a
-// different window count (one run per input).
+// every mode and worker count. The whole batch also runs under the
+// scalar reference, which must agree input by input. The batches cover
+// each phase-1 route: the layer's own cached source (dynamic sharding
+// over the code plane), substituted cloneable sources (static
+// sharding), a non-cloneable source (one serial shard), a source with a
+// different window count (one run per input), and a cached layer whose
+// own source is not cloneable (dynamic sharding whose shards must read
+// the code plane, never that source; -race reports a shared read).
 func TestGoldenBatchMatchesScalar(t *testing.T) {
-	layer := goldenLayer(t)
-	layer.Codes = NewCodePlanes()
 	ctx := context.Background()
 	cloneable := func(seed uint64) ActivationSource { return &cloneableSource{goldenActs(seed, 9)} }
 	plain := func(seed uint64, windows int) ActivationSource {
@@ -99,15 +113,22 @@ func TestGoldenBatchMatchesScalar(t *testing.T) {
 	}
 	batches := []struct {
 		name    string
+		own     ActivationSource   // the layer's own source; nil = goldenLayer's cloneable one
 		sources []ActivationSource // nil = the layer's own source
 	}{
-		{"cached", []ActivationSource{nil, nil, nil, nil}},
-		{"cloneable", []ActivationSource{nil, cloneable(21), cloneable(22), cloneable(23)}},
-		{"non-cloneable", []ActivationSource{nil, cloneable(31), plain(32, 9), plain(33, 9)}},
-		{"window-mismatch", []ActivationSource{nil, cloneable(41), plain(42, 9), plain(43, 5)}},
+		{"cached", nil, []ActivationSource{nil, nil, nil, nil}},
+		{"cloneable", nil, []ActivationSource{nil, cloneable(21), cloneable(22), cloneable(23)}},
+		{"non-cloneable", nil, []ActivationSource{nil, cloneable(31), plain(32, 9), plain(33, 9)}},
+		{"window-mismatch", nil, []ActivationSource{nil, cloneable(41), plain(42, 9), plain(43, 5)}},
+		{"cached-own-non-cloneable", &scratchSource{sliceSource: goldenActs(17, 9)}, []ActivationSource{nil, nil, nil}},
 	}
 	modes := []Mode{ModeBaseline, ModeNaive, ModeReCom, ModeORC, ModeDOF, ModeORCDOF, ModeWSS, ModeORCDOFWSS}
 	for _, bt := range batches {
+		layer := goldenLayer(t)
+		if bt.own != nil {
+			layer.Acts = bt.own
+		}
+		layer.Codes = NewCodePlanes()
 		batch := make([]BatchInput, len(bt.sources))
 		for j, src := range bt.sources {
 			if src != nil {
@@ -126,6 +147,10 @@ func TestGoldenBatchMatchesScalar(t *testing.T) {
 				}
 				scfg := cfg
 				scfg.ScalarReference = true
+				sgot, err := SimulateNetworkBatchContext(ctx, []Layer{layer}, scfg, batch)
+				if err != nil {
+					t.Fatalf("%s %v workers=%d scalar batch: %v", bt.name, mode, workers, err)
+				}
 				for j, src := range bt.sources {
 					alone := layer
 					if src != nil {
@@ -138,6 +163,10 @@ func TestGoldenBatchMatchesScalar(t *testing.T) {
 					if !reflect.DeepEqual(got[j], want) {
 						t.Fatalf("%s %v workers=%d input %d: batched %+v != scalar %+v",
 							bt.name, mode, workers, j, got[j], want)
+					}
+					if !reflect.DeepEqual(sgot[j], want) {
+						t.Fatalf("%s %v workers=%d input %d: scalar batch %+v != scalar alone %+v",
+							bt.name, mode, workers, j, sgot[j], want)
 					}
 				}
 			}

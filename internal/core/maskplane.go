@@ -11,10 +11,10 @@
 // sync.Once from the code plane and read lock-free ever after.
 //
 // The cached masks are exactly the words BuildSliceMasks would have
-// produced per window, so phase-1 results are bit-identical with the
-// cache on or off (golden tests enforce this through the existing
-// cached-vs-uncached comparisons). Config.NoCodeCache opts out of this
-// cache together with the code plane it derives from.
+// produced per window, so phase-1 results are bit-identical with or
+// without the cache (golden tests enforce this by comparing layers with
+// and without a CodePlanes). A layer without code planes has no mask
+// planes either.
 package core
 
 import (

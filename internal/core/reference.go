@@ -3,7 +3,8 @@
 // kept so the word-plane kernels (kernelPhase1, compress.PlanSet) can
 // be proven bit-identical against it (TestGoldenKernelMatchesScalar)
 // and benchmarked against it (BenchmarkSimulateLayerScalar). Selected
-// by Config.ScalarReference; never used in production runs.
+// by Config.ScalarReference at simulateLayer's plan switch; never used
+// in production runs.
 package core
 
 import (
@@ -16,18 +17,17 @@ import (
 )
 
 // scalarTilePlans rebuilds every tile's retained-row plans and group
-// bitsets from Structure.Plan on each call — the allocation-heavy
-// behavior the per-structure plan cache replaced.
-func scalarTilePlans(ctx context.Context, l Layer, cfg Config) ([][]tilePlan, error) {
+// bitsets from Structure.Plan on each call, into ls's plan grid — the
+// allocation-heavy behavior the per-structure plan cache replaced.
+func scalarTilePlans(ctx context.Context, l Layer, cfg Config, ls *layerScratch) ([][]tilePlan, error) {
 	st := l.Struct
 	lay := st.Layout
 	g := cfg.Geometry
-	plans := make([][]tilePlan, lay.RowBlocks)
+	plans := ls.tilePlans(lay.RowBlocks, lay.ColBlocks)
 	for rb := 0; rb < lay.RowBlocks; rb++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		plans[rb] = make([]tilePlan, lay.ColBlocks)
 		tileRows := lay.TileRows(rb)
 		for cb := 0; cb < lay.ColBlocks; cb++ {
 			tp := &plans[rb][cb]
@@ -54,19 +54,21 @@ func scalarTilePlans(ctx context.Context, l Layer, cfg Config) ([][]tilePlan, er
 	return plans, nil
 }
 
-// scalarPhase1 returns the pre-kernel phase-1 shard body: per-bit Set
-// calls to build each slice mask and one CountAnd per (slice, group)
-// over per-group *bitset.Set row masks.
+// scalarPhase1 returns the pre-kernel phase-1 shard body over the same
+// flattened (input, window) space and input tiers as kernelPhase1: per-bit
+// Set calls to build each slice mask and one CountAnd per (slice, group)
+// over per-group *bitset.Set row masks. Codes come from the input's code
+// plane when it has one, otherwise from a per-input clone of its source.
 func scalarPhase1(ctx context.Context, l Layer, cfg Config, plans [][]tilePlan,
-	work []batchWork, sampled, windows int) func(start, end int) {
+	work []batchWork, sampled, windows int, inputs []p1Input) func(start, end int) {
 	lay := l.Struct.Layout
 	g := cfg.Geometry
 	spi := cfg.Quant.SlicesPerInput()
 	nTiles := lay.RowBlocks * lay.ColBlocks
 	dacMask := uint32(1)<<uint(cfg.Quant.DACBits) - 1
 	return func(start, end int) {
-		acts := cloneSource(l.Acts)
-		codes := make([]uint32, lay.Rows)
+		rd := newP1Reader(inputs, sampled, windows)
+		buf := make([]uint32, lay.Rows)
 		// Same shard-private occupancy recording as kernelPhase1, so the
 		// metered scalar path observes identical occupancy.
 		var occ *metrics.Histogram
@@ -81,11 +83,11 @@ func scalarPhase1(ctx context.Context, l Layer, cfg Config, plans [][]tilePlan,
 				masks[s][rb] = bitset.New(lay.TileRows(rb))
 			}
 		}
-		for wi := start; wi < end; wi++ {
+		for idx := start; idx < end; idx++ {
 			if ctx.Err() != nil {
 				return
 			}
-			acts.WindowCodes(wi*windows/sampled, codes)
+			codes := rd.codes(idx/sampled, idx%sampled, buf)
 			for s := 0; s < spi; s++ {
 				for rb := range masks[s] {
 					masks[s][rb].Reset()
@@ -133,7 +135,7 @@ func scalarPhase1(ctx context.Context, l Layer, cfg Config, plans [][]tilePlan,
 							}
 						}
 					}
-					work[wi*nTiles+rb*lay.ColBlocks+cb] = batchWork{batchOUs, batchWL}
+					work[idx*nTiles+rb*lay.ColBlocks+cb] = batchWork{batchOUs, batchWL}
 				}
 			}
 		}

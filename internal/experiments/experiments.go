@@ -33,9 +33,6 @@ type Options struct {
 	MaxWindows int  // per-layer window sampling cap (0 → default 48)
 	Quick      bool // trim sweeps for fast CI/bench runs
 	Workers    int  // build and simulation worker-pool width (0 = GOMAXPROCS)
-	// NoCodeCache disables the per-layer window-code plane cache
-	// (results are bit-identical either way; see core.Config).
-	NoCodeCache bool
 	// Metrics, when non-nil, collects run observability across every
 	// simulation an experiment performs (see internal/metrics).
 	Metrics *metrics.Registry
@@ -236,14 +233,13 @@ func build(spec workload.Spec, mode workload.PruneMode, p quant.Params, g mappin
 // simulate fills in the mode.
 func config(p quant.Params, g mapping.Geometry, indexBits int, opt Options) core.Config {
 	return core.Config{
-		Geometry:    g,
-		Quant:       p,
-		IndexBits:   indexBits,
-		MaxWindows:  opt.maxWindows(),
-		Workers:     opt.Workers,
-		Energy:      energy.Default(),
-		Metrics:     opt.Metrics,
-		NoCodeCache: opt.NoCodeCache,
+		Geometry:   g,
+		Quant:      p,
+		IndexBits:  indexBits,
+		MaxWindows: opt.maxWindows(),
+		Workers:    opt.Workers,
+		Energy:     energy.Default(),
+		Metrics:    opt.Metrics,
 	}
 }
 

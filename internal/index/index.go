@@ -32,10 +32,13 @@ type Encoding struct {
 // StorageBits returns the index storage this encoding occupies.
 func (e *Encoding) StorageBits() int64 { return int64(len(e.Codes)) * int64(e.Bits) }
 
+// MaxBits is the widest code Encode and AppendEncodedRows accept.
+const MaxBits = 30
+
 // Encode delta-encodes the ascending row indexes rows using B-bit codes,
 // inserting filler rows where a gap exceeds the representable span.
 func Encode(rows []int, bits int) (*Encoding, error) {
-	if bits <= 0 || bits > 30 {
+	if bits <= 0 || bits > MaxBits {
 		return nil, fmt.Errorf("index: code width %d out of range", bits)
 	}
 	span := 1 << uint(bits) // maximum representable raw delta
@@ -68,7 +71,7 @@ func Encode(rows []int, bits int) (*Encoding, error) {
 // row stores exactly one code, so the encoding's storage is
 // (appended row count) · bits without materializing the codes.
 func AppendEncodedRows(dst []int, rows []int, bits int) ([]int, int, error) {
-	if bits <= 0 || bits > 30 {
+	if bits <= 0 || bits > MaxBits {
 		return dst, 0, fmt.Errorf("index: code width %d out of range", bits)
 	}
 	span := 1 << uint(bits)

@@ -294,6 +294,23 @@ func TestSimulateBodyLimits(t *testing.T) {
 	}
 }
 
+// TestIndexBitsOutOfRange pins the boundary for the request that once
+// crashed the daemon: index_bits 70 is a 400 naming the field, decided
+// before any network is built.
+func TestIndexBitsOutOfRange(t *testing.T) {
+	srv := NewServer(Options{})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	status, body := postSimulate(t, ts.URL, `{"network":"MNIST","mode":"orc+dof","config":{"index_bits":70}}`)
+	if status != http.StatusBadRequest || !strings.Contains(string(body), "IndexBits") {
+		t.Fatalf("index_bits 70: status %d (want 400 naming IndexBits): %s", status, body)
+	}
+	if got := srv.Registry().Builds(); got != 0 {
+		t.Fatalf("Builds() = %d after the reject, want 0", got)
+	}
+}
+
 // TestSweepPanicKeepsServing: a request whose sweep panics on the
 // worker pool (index_bits 70 reaches the shared network as a run-scoped
 // override) fails alone, without a stack in the body, and the same

@@ -34,6 +34,7 @@ import (
 	"sre/internal/compress"
 	"sre/internal/core"
 	"sre/internal/energy"
+	"sre/internal/index"
 	"sre/internal/isaac"
 	"sre/internal/mapping"
 	"sre/internal/metrics"
@@ -276,7 +277,6 @@ type settings struct {
 	actSp       float64 // Build: overall activation-sparsity target
 	progress    func(Progress)
 	metrics     *metrics.Registry
-	noCodeCache bool
 	snapshotDir string
 }
 
@@ -350,16 +350,6 @@ func WithSliceCap(n int) Option { return func(s *settings) { s.cfg.SliceCap = n 
 // when layers overlap on the worker pool.
 func WithProgress(fn func(Progress)) Option { return func(s *settings) { s.progress = fn } }
 
-// WithCodeCache enables or disables the per-layer window-code plane
-// cache for a run (default enabled). With it on, RunAll's modes
-// share one materialization of each layer's sampled activation codes;
-// off, every mode re-reads the activation source per window. Results
-// are bit-identical either way — disable it only to bound memory on
-// very large unsampled runs or to benchmark the uncached path.
-func WithCodeCache(enabled bool) Option {
-	return func(s *settings) { s.noCodeCache = !enabled }
-}
-
 // Metrics is a run-observability registry (see WithMetrics). Create one
 // with NewMetrics; a nil registry disables collection at zero cost.
 type Metrics = metrics.Registry
@@ -426,8 +416,20 @@ func (c Config) params() quant.Params {
 		CellBits: c.CellBits, DACBits: c.DACBits}
 }
 
-// Validate reports configuration problems.
+// Validate reports configuration problems; each error names its field.
+// Load, Build, OpenSnapshot and every run-option merge call it.
 func (c Config) Validate() error {
+	switch {
+	case c.IndexBits < 0 || c.IndexBits > index.MaxBits:
+		return fmt.Errorf("sre: IndexBits %d outside [0, %d] (0 = the per-network width)", c.IndexBits, index.MaxBits)
+	case c.MaxWindows < 0:
+		return fmt.Errorf("sre: MaxWindows %d is negative (0 = every window)", c.MaxWindows)
+	case c.WeightBits > 32:
+		// Quantized codes are uint32 (quant.QuantizeUnsigned).
+		return fmt.Errorf("sre: WeightBits %d above 32", c.WeightBits)
+	case c.ActivationBits > 32:
+		return fmt.Errorf("sre: ActivationBits %d above 32", c.ActivationBits)
+	}
 	if err := c.geometry().Validate(); err != nil {
 		return err
 	}
@@ -722,6 +724,9 @@ func OpenSnapshot(path string, opts ...Option) (*Network, error) {
 		return nil, fmt.Errorf("sre: snapshot %s has a design point Config cannot represent (%+v)", path, k.Geom)
 	}
 	s := settings{cfg: cfg, style: style}.apply(opts)
+	if err := s.cfg.Validate(); err != nil {
+		return nil, err
+	}
 	if s.cfg.geometry() != k.Geom || s.cfg.params() != k.Quant ||
 		s.cfg.Seed != k.Seed || s.style != style || s.cfg.SliceCap != k.Spec.SliceCap {
 		return nil, fmt.Errorf(
@@ -800,13 +805,17 @@ func (n *Network) RunContext(ctx context.Context, mode Mode, opts ...Option) (Re
 }
 
 // runSettings resolves per-run options against the build-time config,
-// rejecting any change that would invalidate the built structures.
+// rejecting any change that would invalidate the built structures and
+// any value Config.Validate refuses.
 func (n *Network) runSettings(opts []Option) (settings, error) {
 	s := settings{cfg: n.cfg, style: n.style, progress: n.progress}.apply(opts)
 	if s.cfg.geometry() != n.cfg.geometry() || s.cfg.params() != n.cfg.params() ||
 		s.cfg.Seed != n.cfg.Seed || s.style != n.style {
 		return settings{}, fmt.Errorf(
 			"sre: run option would change the built network (geometry, precision, seed, or prune style); pass it to Load/Build instead")
+	}
+	if err := s.cfg.Validate(); err != nil {
+		return settings{}, err
 	}
 	return s, nil
 }
@@ -895,16 +904,15 @@ func (n *Network) RunBatchContext(ctx context.Context, modes []Mode, sets []Acti
 	}
 	indexBits := n.indexBitsFor(s.cfg)
 	cfg := core.Config{
-		Geometry:    n.cfg.geometry(),
-		Quant:       n.cfg.params(),
-		IndexBits:   indexBits,
-		MaxWindows:  s.cfg.MaxWindows,
-		Workers:     s.cfg.Workers,
-		Pool:        pool,
-		Energy:      energy.Default(),
-		NoC:         noc.Default(),
-		Metrics:     s.metrics,
-		NoCodeCache: s.noCodeCache,
+		Geometry:   n.cfg.geometry(),
+		Quant:      n.cfg.params(),
+		IndexBits:  indexBits,
+		MaxWindows: s.cfg.MaxWindows,
+		Workers:    s.cfg.Workers,
+		Pool:       pool,
+		Energy:     energy.Default(),
+		NoC:        noc.Default(),
+		Metrics:    s.metrics,
 	}
 	out := make([][]Result, len(sets))
 	for j := range out {

@@ -3,6 +3,7 @@ package sre
 import (
 	"context"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -56,16 +57,31 @@ func TestRunAllCodeCacheAlgebra(t *testing.T) {
 	}
 }
 
+// withoutCodePlanes returns a network sharing n's build whose layers
+// carry no window-code planes, so every run reads the activation
+// sources per window: the uncached reference the code-plane cache is
+// proven against.
+func withoutCodePlanes(n *Network) *Network {
+	built := *n.built
+	built.Layers = slices.Clone(n.built.Layers)
+	for i := range built.Layers {
+		built.Layers[i].Codes = nil
+	}
+	return &Network{name: n.name, spec: n.spec, built: &built, cfg: n.cfg,
+		style: n.style, progress: n.progress}
+}
+
 // TestRunAllCodeCacheResultsIdentical proves the cache never changes
 // what the sweep reports: RunAll with the cache (the default) must be
-// deeply equal to RunAll opted out via WithCodeCache(false), across all
-// six modes, at both a serial and the automatic pool width, with
-// sampling on and off.
+// deeply equal to RunAll over the same layers without code planes,
+// across all eight modes, at both a serial and the automatic pool
+// width, with sampling on and off.
 func TestRunAllCodeCacheResultsIdentical(t *testing.T) {
 	net, err := Load("MNIST", smallOpts()...)
 	if err != nil {
 		t.Fatal(err)
 	}
+	bare := withoutCodePlanes(net)
 	ctx := context.Background()
 	for _, workers := range []int{1, 0} {
 		for _, maxWin := range []int{0, 6} {
@@ -74,27 +90,27 @@ func TestRunAllCodeCacheResultsIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatalf("workers=%d maxWin=%d cached: %v", workers, maxWin, err)
 			}
-			uncached, err := net.RunAllContext(ctx,
-				WithWorkers(workers), WithMaxWindows(maxWin), WithCodeCache(false))
+			uncached, err := bare.RunAllContext(ctx,
+				WithWorkers(workers), WithMaxWindows(maxWin))
 			if err != nil {
 				t.Fatalf("workers=%d maxWin=%d uncached: %v", workers, maxWin, err)
 			}
 			if !reflect.DeepEqual(zeroMetrics(cached), zeroMetrics(uncached)) {
-				t.Fatalf("workers=%d maxWin=%d: cached sweep diverges from WithCodeCache(false)",
+				t.Fatalf("workers=%d maxWin=%d: cached sweep diverges from the uncached layers",
 					workers, maxWin)
 			}
 		}
 	}
-	// The opt-out also holds for the OCC extension path.
+	// The identity also holds for the OCC extension path.
 	occCached, err := net.RunContext(context.Background(), OCC)
 	if err != nil {
 		t.Fatal(err)
 	}
-	occUncached, err := net.RunContext(context.Background(), OCC, WithCodeCache(false))
+	occUncached, err := bare.RunContext(context.Background(), OCC)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(occCached, occUncached) {
-		t.Fatal("OCC run diverges under WithCodeCache(false)")
+		t.Fatal("OCC run diverges over the uncached layers")
 	}
 }

@@ -3,6 +3,7 @@ package sre
 import (
 	"context"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -28,19 +29,60 @@ func TestLoadUnknownNetwork(t *testing.T) {
 	}
 }
 
+// TestConfigValidate pins the config boundary: each bad value is an
+// error (naming its field where the table gives one), the extreme legal
+// values pass, and Load and a run-scoped override are checked too.
 func TestConfigValidate(t *testing.T) {
+	cases := []struct {
+		field string // the field the error must name; "" = any error
+		set   func(*Config)
+		ok    bool
+	}{
+		{"", func(c *Config) { c.OUHeight = 0 }, false},
+		{"", func(c *Config) { c.CellBits = 3 }, false}, // does not divide WeightBits
+		{"IndexBits", func(c *Config) { c.IndexBits = 70 }, false},
+		{"IndexBits", func(c *Config) { c.IndexBits = 31 }, false},
+		{"IndexBits", func(c *Config) { c.IndexBits = -1 }, false},
+		{"IndexBits", func(c *Config) { c.IndexBits = 30 }, true},
+		{"IndexBits", func(c *Config) { c.IndexBits = 0 }, true},
+		{"MaxWindows", func(c *Config) { c.MaxWindows = -1 }, false},
+		{"MaxWindows", func(c *Config) { c.MaxWindows = 0 }, true},
+		{"WeightBits", func(c *Config) { c.WeightBits = 40 }, false},
+		{"WeightBits", func(c *Config) { c.WeightBits = 32 }, true},
+		{"ActivationBits", func(c *Config) { c.ActivationBits = 34 }, false},
+		{"ActivationBits", func(c *Config) { c.ActivationBits = 32 }, true},
+	}
+	for _, tc := range cases {
+		cfg := testConfig()
+		tc.set(&cfg)
+		err := cfg.Validate()
+		switch {
+		case tc.ok && err != nil:
+			t.Errorf("%+v: rejected: %v", cfg, err)
+		case !tc.ok && err == nil:
+			t.Errorf("%+v: accepted", cfg)
+		case !tc.ok && !strings.Contains(err.Error(), tc.field):
+			t.Errorf("%+v: error %q does not name %s", cfg, err, tc.field)
+		}
+	}
 	bad := testConfig()
-	bad.OUHeight = 0
-	if bad.Validate() == nil {
-		t.Fatal("accepted zero OU height")
-	}
-	bad = testConfig()
 	bad.CellBits = 3
-	if bad.Validate() == nil {
-		t.Fatal("accepted non-dividing cell bits")
-	}
 	if _, err := Load("MNIST", WithConfig(bad)); err == nil {
 		t.Fatal("Load accepted invalid config")
+	}
+
+	net, err := Load("MNIST", smallOpts()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for field, opt := range map[string]Option{
+		"IndexBits":  WithIndexBits(70),
+		"MaxWindows": WithMaxWindows(-1),
+	} {
+		_, err := net.RunContext(context.Background(), ORCDOF, opt)
+		if err == nil || !strings.Contains(err.Error(), field) {
+			t.Errorf("run-scoped %s override: error %v, want one naming the field", field, err)
+		}
 	}
 }
 
