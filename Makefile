@@ -4,10 +4,15 @@
 
 GO ?= go
 
-# Where `make bench` records its machine-readable results. There is no
-# default: each bench run names its own file, so a bare `make bench`
-# cannot overwrite a historical record (BENCH_PR2.json, …):
+# Where each record-writing target writes. There is no default: every
+# run names its own file, so a bare `make bench` (or bench-coldstart,
+# bench-load, bench-cluster, experiments) cannot overwrite a historical
+# record (BENCH_PR2.json, …):
 #   make bench BENCH_OUT=BENCH_NEW.json
+#   make bench-coldstart BENCH_COLDSTART_OUT=/tmp/coldstart.json
+#   make bench-load BENCH_LOAD_OUT=/tmp/load.json
+#   make bench-cluster BENCH_CLUSTER_OUT=/tmp/cluster.json
+#   make experiments BENCH_EXP_OUT=/tmp/wss.json
 
 # Baseline for `make bench-compare` (recorded by `make bench-rebaseline`
 # from the pre-PR tree — see that rule's comment):
@@ -71,8 +76,12 @@ smoke:
 # multi-activation sweep, and the bitset popcount/plane kernels) with
 # -benchmem and records ns/op, B/op, and allocs/op in $(BENCH_OUT).
 # BENCH_COUNT > 1 repeats each benchmark and records min/median.
+# require-out fails the calling target unless the named output variable
+# is set: $(call require-out,<target>,<variable>).
+require-out = @test -n "$($(2))" || { echo "make $(1): set $(2) to the record to write, e.g. make $(1) $(2)=BENCH_NEW.json" >&2; exit 1; }
+
 bench:
-	@test -n "$(BENCH_OUT)" || { echo "make bench: set BENCH_OUT to the record to write, e.g. make bench BENCH_OUT=BENCH_NEW.json" >&2; exit 1; }
+	$(call require-out,bench,BENCH_OUT)
 	$(GO) build -o bin/benchjson ./cmd/benchjson
 	($(GO) test -run=NONE -bench '$(BENCH_PATTERN)' \
 		-benchmem -benchtime 0.5s -count $(BENCH_COUNT) . && \
@@ -116,20 +125,22 @@ bench-compare:
 
 # bench-coldstart records the snapshot format's acceptance numbers:
 # VGG-16 cold start through a full build vs through OpenSnapshot
-# (expect OpenSnapshot ≥10x faster).
+# (expect OpenSnapshot ≥10x faster) into $(BENCH_COLDSTART_OUT)
+# (BENCH_PR6.json holds the original record).
 bench-coldstart:
+	$(call require-out,bench-coldstart,BENCH_COLDSTART_OUT)
 	$(GO) build -o bin/benchjson ./cmd/benchjson
 	$(GO) test -run=NONE -bench 'BenchmarkColdStart' \
-		-benchmem -benchtime 2x . | ./bin/benchjson -out BENCH_PR6.json
+		-benchmem -benchtime 2x . | ./bin/benchjson -out $(BENCH_COLDSTART_OUT)
 
 # bench-load records the serving SLO numbers: sreload replays a skewed
 # repeated-key workload against sreserved with the result cache off,
 # then on, into $(BENCH_LOAD_OUT) — p50/p99/throughput/hit-rate per
 # run, with the >=10x p99 acceptance ratio printed at the end. Knobs
 # (REQUESTS, CLIENTS, KEYS, SEEDS, HOT, MAXWIN, MODES, SWEEPS) pass
-# through the environment.
-BENCH_LOAD_OUT ?= BENCH_PR8.json
+# through the environment. BENCH_PR8.json holds the original record.
 bench-load:
+	$(call require-out,bench-load,BENCH_LOAD_OUT)
 	$(GO) build -o bin/sreserved ./cmd/sreserved
 	$(GO) build -o bin/sreload ./cmd/sreload
 	./scripts/bench_load.sh ./bin/sreserved ./bin/sreload $(BENCH_LOAD_OUT)
@@ -145,9 +156,10 @@ bench-load:
 # context-switching plus a forwarding hop, not scale-out (same caveat
 # as BENCH_PR4's parallel ratios — record nproc next to the number).
 # Knobs (NETWORK, REQUESTS, CLIENTS, KEYS, SEEDS, HOT, MAXWIN, MODES,
-# SWEEPS, REPLICAS) pass through the environment.
-BENCH_CLUSTER_OUT ?= BENCH_PR9.json
+# SWEEPS, REPLICAS) pass through the environment. BENCH_PR9.json holds
+# the original record.
 bench-cluster:
+	$(call require-out,bench-cluster,BENCH_CLUSTER_OUT)
 	$(GO) build -o bin/sreserved ./cmd/sreserved
 	$(GO) build -o bin/sreload ./cmd/sreload
 	./scripts/bench_cluster.sh ./bin/sreserved ./bin/sreload $(BENCH_CLUSTER_OUT)
@@ -157,9 +169,10 @@ bench-cluster:
 # and orc+dof+wss, into $(BENCH_EXP_OUT) — the orc+dof+wss rows must
 # show a cycles reduction over plain orc+dof on the same capped
 # weights. EXP_FLAGS=-quick trims to MNIST+CIFAR-10 (the CI leg).
-BENCH_EXP_OUT ?= BENCH_PR10.json
+# BENCH_PR10.json holds the original record.
 EXP_FLAGS ?=
 experiments:
+	$(call require-out,experiments,BENCH_EXP_OUT)
 	$(GO) build -o bin/srebench ./cmd/srebench
 	./bin/srebench -experiment pr10-wss -json $(EXP_FLAGS) > $(BENCH_EXP_OUT)
 	@echo "wrote $(BENCH_EXP_OUT)"

@@ -49,7 +49,6 @@ func main() {
 		addr     = flag.String("addr", "127.0.0.1:8344", "listen address")
 		queue    = flag.Int("queue", 64, "max admitted (queued + running) requests")
 		sweeps   = flag.Int("sweeps", 2, "max concurrent simulation sweeps")
-		batchWin = flag.Duration("batch-window", 2*time.Millisecond, "micro-batch coalescing window (negative disables)")
 		grace    = flag.Duration("grace", 30*time.Second, "drain grace period on SIGTERM/SIGINT")
 		cacheCap = cli.AddByteSize(flag.CommandLine, "result-cache-bytes", 256<<20,
 			"deterministic result cache capacity (e.g. 64MiB; 0 disables)")
@@ -93,7 +92,6 @@ func main() {
 	srv := serve.NewServer(serve.Options{
 		MaxQueue:         *queue,
 		MaxSweeps:        *sweeps,
-		BatchWindow:      *batchWin,
 		Workers:          *workers,
 		Metrics:          reg,
 		SnapshotDir:      *snapDir,

@@ -83,8 +83,8 @@ func TestStructurePlaneRoundTrip(t *testing.T) {
 				t.Fatalf("trial %d: scheme %v accounting diverged", trial, sc)
 			}
 		}
-		comparePlanSets(t, s.PlanSet(ORC, 5), back.PlanSet(ORC, 5), s.Layout)
-		comparePlanSets(t, s.PlanSet(WSS, 5), back.PlanSet(WSS, 5), s.Layout)
+		comparePlanSets(t, mustPlanSet(t, s, ORC, 5), mustPlanSet(t, back, ORC, 5), s.Layout)
+		comparePlanSets(t, mustPlanSet(t, s, WSS, 5), mustPlanSet(t, back, WSS, 5), s.Layout)
 	}
 }
 
@@ -144,7 +144,7 @@ func TestPlanSetWireRoundTrip(t *testing.T) {
 		s, _, _, _ := randomStructure(r)
 		for _, sc := range []Scheme{Baseline, Naive, ORC, WSS} {
 			for _, idx := range []int{0, 3, 5} {
-				ps := s.PlanSet(sc, idx)
+				ps := mustPlanSet(t, s, sc, idx)
 				wire := AppendPlanSet(nil, ps)
 				back, err := DecodePlanSet(wire, s.Layout)
 				if err != nil {
@@ -168,15 +168,15 @@ func TestSeedPlanSetWins(t *testing.T) {
 	r := xrand.New(23)
 	s, _, _, _ := randomStructure(r)
 	donor, _, _, _ := randomStructure(xrand.New(23)) // same RNG stream → identical layer
-	ps := donor.PlanSet(ORC, 5)
+	ps := mustPlanSet(t, donor, ORC, 5)
 	s.SeedPlanSet(ORC, 5, ps)
-	if got := s.PlanSet(ORC, 5); got != ps {
+	if got := mustPlanSet(t, s, ORC, 5); got != ps {
 		t.Fatal("cache did not serve the seeded plan set")
 	}
 	// Seeding an occupied key must not replace it.
-	other := donor.PlanSet(ORC, 3)
+	other := mustPlanSet(t, donor, ORC, 3)
 	s.SeedPlanSet(ORC, 5, other)
-	if got := s.PlanSet(ORC, 5); got != ps {
+	if got := mustPlanSet(t, s, ORC, 5); got != ps {
 		t.Fatal("second seed displaced the first")
 	}
 }

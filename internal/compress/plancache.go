@@ -10,6 +10,7 @@
 package compress
 
 import (
+	"fmt"
 	"sync"
 
 	"sre/internal/bitset"
@@ -79,6 +80,7 @@ type planCache struct {
 type planEntry struct {
 	once sync.Once
 	ps   *PlanSet
+	err  error // a failed build stays failed: every lookup returns it
 }
 
 // CacheMetrics carries the optional plan-cache observability counters a
@@ -96,15 +98,17 @@ type CacheMetrics struct {
 // PlanSet returns the cached per-tile execution plans for scheme at the
 // given index width, building them on first use. The result is shared
 // and must be treated as read-only. Baseline and Ideal ignore the index
-// width, so their entries are normalized to indexBits 0. OCC compresses
+// width, so their entries are normalized to indexBits 0. An index width
+// the delta encoding cannot represent is an error, memoized like a
+// plan set: the first and every later call return it. OCC compresses
 // along the other axis and has no row plans; like Plan, this panics for
 // it.
-func (s *Structure) PlanSet(scheme Scheme, indexBits int) *PlanSet {
+func (s *Structure) PlanSet(scheme Scheme, indexBits int) (*PlanSet, error) {
 	return s.PlanSetMetered(scheme, indexBits, CacheMetrics{})
 }
 
 // PlanSetMetered is PlanSet feeding the given cache counters.
-func (s *Structure) PlanSetMetered(scheme Scheme, indexBits int, cm CacheMetrics) *PlanSet {
+func (s *Structure) PlanSetMetered(scheme Scheme, indexBits int, cm CacheMetrics) (*PlanSet, error) {
 	if scheme == OCC {
 		panic("compress: PlanSet does not support scheme " + scheme.String())
 	}
@@ -127,9 +131,9 @@ func (s *Structure) PlanSetMetered(scheme Scheme, indexBits int, cm CacheMetrics
 	s.plans.mu.Unlock()
 	e.once.Do(func() {
 		cm.Builds.Inc()
-		e.ps = s.buildPlanSet(scheme, indexBits)
+		e.ps, e.err = s.buildPlanSet(scheme, indexBits)
 	})
-	return e.ps
+	return e.ps, e.err
 }
 
 // buildPlanSet derives every tile's plans. Schemes whose keep set is
@@ -144,27 +148,37 @@ func (s *Structure) PlanSetMetered(scheme Scheme, indexBits int, cm CacheMetrics
 // against) are byte-for-byte what Plan returns; snapshot encoding
 // serializes each group's rows by content, so aliased headers persist
 // identically.
-func (s *Structure) buildPlanSet(scheme Scheme, indexBits int) *PlanSet {
+func (s *Structure) buildPlanSet(scheme Scheme, indexBits int) (*PlanSet, error) {
 	lay := s.Layout
 	grid := s.schemeGroups(scheme)
 	ps := &PlanSet{Tiles: make([][]TilePlans, lay.RowBlocks)}
 	var idxScratch []int // reused raw keep-set indices across groups
 	var rowScratch []int // reused encoded-rows accumulator across tiles
 	var offScratch []int // reused per-tile group offsets
-	// encode overwrites rowScratch with keep's retained rows, delta-index
+	// appendRows appends keep's retained rows to dst, delta-index
 	// encoded (fillers included) when the scheme carries bounded indices.
-	encode := func(keep *bitset.Set) []int {
+	appendRows := func(dst []int, keep *bitset.Set) ([]int, error) {
 		if scheme == Ideal || indexBits <= 0 {
-			rowScratch = keep.Indices(rowScratch[:0])
-			return rowScratch
+			return keep.Indices(dst), nil
 		}
 		idxScratch = keep.Indices(idxScratch[:0])
-		var err error
-		rowScratch, _, err = index.AppendEncodedRows(rowScratch[:0], idxScratch, indexBits)
+		dst, _, err := index.AppendEncodedRows(dst, idxScratch, indexBits)
 		if err != nil {
-			panic(err)
+			return dst, fmt.Errorf("compress: %v plans at index bits %d: %w", scheme, indexBits, err)
 		}
-		return rowScratch
+		return dst, nil
+	}
+	// exact returns a tile-owned, exact-size copy of keep's rows,
+	// built in rowScratch.
+	exact := func(keep *bitset.Set) ([]int, error) {
+		enc, err := appendRows(rowScratch[:0], keep)
+		rowScratch = enc
+		if err != nil {
+			return nil, err
+		}
+		rows := make([]int, len(enc))
+		copy(rows, enc)
+		return rows, nil
 	}
 	for rb := 0; rb < lay.RowBlocks; rb++ {
 		ps.Tiles[rb] = make([]TilePlans, lay.ColBlocks)
@@ -172,9 +186,10 @@ func (s *Structure) buildPlanSet(scheme Scheme, indexBits int) *PlanSet {
 		words := bitset.Words64(tileRows)
 		var blockRows []int // ReCom: one exact-size row list per row block
 		if scheme == ReCom {
-			enc := encode(s.BlockNonZeroRows(rb))
-			blockRows = make([]int, len(enc))
-			copy(blockRows, enc)
+			var err error
+			if blockRows, err = exact(s.BlockNonZeroRows(rb)); err != nil {
+				return nil, err
+			}
 		}
 		for cb := 0; cb < lay.ColBlocks; cb++ {
 			tp := &ps.Tiles[rb][cb]
@@ -189,9 +204,10 @@ func (s *Structure) buildPlanSet(scheme Scheme, indexBits int) *PlanSet {
 				tp.OUs = int64(nGroups) * int64(xmath.CeilDiv(tileRows, lay.SWL))
 				tp.NonEmptyGroups = nGroups
 			case Naive:
-				enc := encode(s.TileNonZeroRows(rb, cb))
-				rows := make([]int, len(enc))
-				copy(rows, enc)
+				rows, err := exact(s.TileNonZeroRows(rb, cb))
+				if err != nil {
+					return nil, err
+				}
 				tp.shareRows(rows, lay.SWL)
 			case ReCom:
 				tp.shareRows(blockRows, lay.SWL)
@@ -204,16 +220,9 @@ func (s *Structure) buildPlanSet(scheme Scheme, indexBits int) *PlanSet {
 				offs[0] = 0
 				acc := rowScratch[:0]
 				for gi := 0; gi < nGroups; gi++ {
-					keep := grid[rb][cb][gi]
-					if scheme == Ideal || indexBits <= 0 {
-						acc = keep.Indices(acc)
-					} else {
-						idxScratch = keep.Indices(idxScratch[:0])
-						var err error
-						acc, _, err = index.AppendEncodedRows(acc, idxScratch, indexBits)
-						if err != nil {
-							panic(err)
-						}
+					var err error
+					if acc, err = appendRows(acc, grid[rb][cb][gi]); err != nil {
+						return nil, err
 					}
 					offs[gi+1] = len(acc)
 				}
@@ -237,7 +246,7 @@ func (s *Structure) buildPlanSet(scheme Scheme, indexBits int) *PlanSet {
 			}
 		}
 	}
-	return ps
+	return ps, nil
 }
 
 // shareRows fills a tile whose groups all retain the same rows (Naive,

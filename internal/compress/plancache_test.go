@@ -1,6 +1,7 @@
 package compress
 
 import (
+	"strings"
 	"sync"
 	"testing"
 
@@ -26,6 +27,16 @@ func cacheTestStructure(t *testing.T) *Structure {
 	return Build(&CodeSource{Rows: rows, Cols: cols, Codes: codes}, p, g)
 }
 
+// mustPlanSet is PlanSet for widths the delta encoding represents.
+func mustPlanSet(t testing.TB, s *Structure, scheme Scheme, indexBits int) *PlanSet {
+	t.Helper()
+	ps, err := s.PlanSet(scheme, indexBits)
+	if err != nil {
+		t.Fatalf("PlanSet(%v, %d): %v", scheme, indexBits, err)
+	}
+	return ps
+}
+
 // TestPlanSetMatchesPlan checks every cached field against the direct
 // Plan computation for every scheme the cache serves.
 func TestPlanSetMatchesPlan(t *testing.T) {
@@ -33,7 +44,7 @@ func TestPlanSetMatchesPlan(t *testing.T) {
 	lay := s.Layout
 	for _, scheme := range []Scheme{Baseline, Naive, ReCom, ORC, Ideal, WSS} {
 		indexBits := 3
-		ps := s.PlanSet(scheme, indexBits)
+		ps := mustPlanSet(t, s, scheme, indexBits)
 		if len(ps.Tiles) != lay.RowBlocks || len(ps.Tiles[0]) != lay.ColBlocks {
 			t.Fatalf("%v: tile grid %dx%d", scheme, len(ps.Tiles), len(ps.Tiles[0]))
 		}
@@ -108,14 +119,14 @@ func TestPlanSetMatchesPlan(t *testing.T) {
 // distinct key, and the Baseline indexBits normalization.
 func TestPlanSetMemoizes(t *testing.T) {
 	s := cacheTestStructure(t)
-	a := s.PlanSet(ORC, 3)
-	if s.PlanSet(ORC, 3) != a {
+	a := mustPlanSet(t, s, ORC, 3)
+	if mustPlanSet(t, s, ORC, 3) != a {
 		t.Fatal("same key must return the cached PlanSet")
 	}
-	if s.PlanSet(ORC, 4) == a {
+	if mustPlanSet(t, s, ORC, 4) == a {
 		t.Fatal("different index width must build a different PlanSet")
 	}
-	if s.PlanSet(Baseline, 3) != s.PlanSet(Baseline, 0) {
+	if mustPlanSet(t, s, Baseline, 3) != mustPlanSet(t, s, Baseline, 0) {
 		t.Fatal("Baseline must normalize indexBits")
 	}
 }
@@ -132,15 +143,38 @@ func TestPlanSetConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i] = s.PlanSet(schemes[i%len(schemes)], 3)
+			ps, err := s.PlanSet(schemes[i%len(schemes)], 3)
+			if err != nil {
+				t.Error(err)
+			}
+			results[i] = ps
 		}(i)
 	}
 	wg.Wait()
 	for i := range results {
-		if results[i] != s.PlanSet(schemes[i%len(schemes)], 3) {
+		if results[i] != mustPlanSet(t, s, schemes[i%len(schemes)], 3) {
 			t.Fatal("concurrent PlanSet returned a non-cached instance")
 		}
 	}
+}
+
+// TestPlanSetIndexWidthError: a width the delta encoding cannot
+// represent is an error naming the width, returned by the first call
+// and again by a repeat — the failed build is memoized, never an empty
+// entry.
+func TestPlanSetIndexWidthError(t *testing.T) {
+	s := cacheTestStructure(t)
+	for call := 0; call < 2; call++ {
+		ps, err := s.PlanSet(ORC, 70)
+		if err == nil || ps != nil {
+			t.Fatalf("call %d: PlanSet(ORC, 70) = %v, %v; want an error", call, ps, err)
+		}
+		if !strings.Contains(err.Error(), "index bits 70") {
+			t.Fatalf("call %d: error %q does not name the index width", call, err)
+		}
+	}
+	// Other keys of the same structure are unaffected.
+	mustPlanSet(t, s, ORC, 3)
 }
 
 func TestPlanSetRejectsOCC(t *testing.T) {

@@ -888,11 +888,14 @@ func simulateEach(ctx context.Context, l Layer, cfg Config, pool *parallel.Pool,
 // mode-dependent fetch shape is derived here.
 func kernelTilePlans(ctx context.Context, l Layer, cfg Config, ls *layerScratch, msh *metrics.Shard) ([][]tilePlan, error) {
 	lay := l.Struct.Layout
-	ps := l.Struct.PlanSetMetered(cfg.Mode.Scheme, cfg.IndexBits, compress.CacheMetrics{
+	ps, err := l.Struct.PlanSetMetered(cfg.Mode.Scheme, cfg.IndexBits, compress.CacheMetrics{
 		Hits:   msh.Counter("sre_compress_plan_cache_hits_total"),
 		Misses: msh.Counter("sre_compress_plan_cache_misses_total"),
 		Builds: msh.Counter("sre_compress_plan_cache_builds_total"),
 	})
+	if err != nil {
+		return nil, err
+	}
 	plans := ls.tilePlans(lay.RowBlocks, lay.ColBlocks)
 	for rb := 0; rb < lay.RowBlocks; rb++ {
 		if err := ctx.Err(); err != nil {

@@ -1,304 +1,218 @@
-// Micro-batcher: coalesces requests that can share one sweep. Two
-// requests agree on a BatchKey when they target the same resident
-// network with the same result-affecting run options; the batcher
-// holds the first such request for a short coalescing window, merges
-// the mode sets — and the activation seeds — of every request that
-// arrives meanwhile, runs the union as a single sweep (one pass over
-// the shared window-code planes and plan caches instead of one per
-// request), and fans the per-(seed, mode) results back out to each
-// waiter. Every sweep is one sre.RunBatchContext call over the union's
-// modes and activation seeds; requests that differ only in their
-// activation seed still coalesce, because the batched sweep shares all
-// activation-independent work across the seeds and is sub-linear in
-// the number of distinct seeds. A batch whose waiters all want the
-// network's own activations is a batch of one set.
+// Batcher: runs one sweep per distinct uncached request, and lets
+// identical requests share it. A request that misses the result cache
+// claims its sweep synchronously and starts it at once — there is no
+// coalescing delay. A request that arrives while an identical one
+// (same BatchKey, act_seed and mode set) is still sweeping joins that
+// sweep as a rider instead of starting its own; every rider gets the
+// same per-mode results, in its own mode order. Requests that differ
+// in anything else sweep separately, so no request waits for work it
+// did not ask for.
 //
 // Result cache: because runs are deterministic, a (BatchKey, mode,
 // act_seed) cell that has been swept before needs no sweep at all. A
 // request whose every cell is cached is answered straight from Do —
-// no coalescing delay, no sweep slot; a claimed batch whose union is
-// fully cached is delivered before acquiring a sweep slot. Either way
-// the response is the bit-identical Result a sweep would have
+// no sweep slot — with the bit-identical Result a sweep would have
 // produced, flagged cached, and sre_serve_sweeps_total does not move.
 //
-// Deadlines: each waiter gives up individually when its own context
+// Deadlines: each rider gives up individually when its own context
 // ends — a 504 for that request only. The sweep itself is cancelled
 // (through the sre.RunBatchContext cancellation path) only when every
-// waiter has abandoned it, so one impatient client cannot kill a
+// rider has abandoned it, so one impatient client cannot kill a
 // result another client is still waiting for.
 package serve
 
 import (
 	"context"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"sre"
 	"sre/internal/metrics"
 )
 
-// BatchKey groups requests that may share one sweep: the resident
-// network plus every run option that changes results. (Worker width
-// and the code cache do not — results are bit-identical either way.
-// The activation seed changes results but deliberately stays out of
-// the key: differing seeds coalesce into one batched multi-activation
-// sweep and fan back out per seed.)
+// BatchKey identifies the resident network and every run option that
+// changes results, apart from the activation seed and the mode set.
+// (Worker width and the code cache do not change results — they are
+// bit-identical either way.) It keys the result cache, refined there
+// by mode and act_seed, and the in-flight sweeps, refined by act_seed
+// and the mode set.
 type BatchKey struct {
 	Key        Key
 	MaxWindows int
 	IndexBits  int
 }
 
-// Batcher coalesces and executes sweeps. Create one with NewBatcher.
+// flightKey identifies one in-flight sweep: exactly the request it
+// answers. modes is the request's mode set as a bitmask over sre.Mode,
+// so requests naming the same modes in a different order still match.
+type flightKey struct {
+	BatchKey
+	actSeed uint64
+	modes   uint64
+}
+
+// flight is one running sweep and the requests riding on it.
+type flight struct {
+	cancel context.CancelFunc
+	done   chan struct{} // closed once byMode and err are set
+
+	// Both counts are guarded by Batcher.mu while the flight is in the
+	// in-flight map; riders is final once done is closed.
+	riders int // requests that joined
+	live   int // riders still waiting
+
+	byMode map[sre.Mode]sre.Result
+	err    error
+}
+
+// Batcher executes sweeps and shares them between identical requests.
+// Create one with NewBatcher.
 type Batcher struct {
 	registry *Registry
 	budget   *Budget
 	cache    *ResultCache // nil disables result caching
-	window   time.Duration
 	workers  int
 	opts     []sre.Option // extra run options (e.g. WithMetrics)
 	base     context.Context
 
-	mu      sync.Mutex
-	pending map[BatchKey]*batch
+	mu       sync.Mutex
+	inflight map[flightKey]*flight
 
 	sweeps    *metrics.Counter
 	coalesced *metrics.Counter
 	cancels   *metrics.Counter
 }
 
-type batch struct {
-	modes   []sre.Mode // union, first-seen order
-	acts    []uint64   // distinct activation seeds, first-seen order
-	waiters []*waiter
-}
-
-type waiter struct {
-	ctx     context.Context
-	modes   []sre.Mode
-	actSeed uint64
-	ch      chan batchResult // buffered; delivery never blocks the sweep
-}
-
-type batchResult struct {
-	byAct  map[uint64]map[sre.Mode]sre.Result
-	size   int // how many requests shared the sweep
-	cached bool
-	err    error
-}
-
 // NewBatcher returns a batcher executing against registry under
 // budget, consulting (and populating) cache when it is non-nil.
-// window is the coalescing delay (<=0 disables coalescing: every
-// request claims its batch synchronously and sweeps alone); workers is
-// the per-sweep pool width (0 = GOMAXPROCS); base bounds every sweep's
-// lifetime (the server's run context); shard receives the batcher's
-// counters (nil-safe); runOpts are appended to every sweep (the server
-// passes WithMetrics).
-func NewBatcher(registry *Registry, budget *Budget, cache *ResultCache, window time.Duration,
+// workers is the per-sweep pool width (0 = GOMAXPROCS); base bounds
+// every sweep's lifetime (the server's run context); shard receives
+// the batcher's counters (nil-safe); runOpts are appended to every
+// sweep (the server passes WithMetrics).
+func NewBatcher(registry *Registry, budget *Budget, cache *ResultCache,
 	workers int, base context.Context, shard *metrics.Shard, runOpts ...sre.Option) *Batcher {
 	return &Batcher{
 		registry:  registry,
 		budget:    budget,
 		cache:     cache,
-		window:    window,
 		workers:   workers,
 		opts:      runOpts,
 		base:      base,
-		pending:   map[BatchKey]*batch{},
+		inflight:  map[flightKey]*flight{},
 		sweeps:    shard.Counter("sre_serve_sweeps_total"),
 		coalesced: shard.Counter("sre_serve_coalesced_requests_total"),
 		cancels:   shard.Counter("sre_serve_sweep_cancels_total"),
 	}
 }
 
-// Do submits one request (key + the modes it wants + its activation
-// seed, 0 = the network's own activations) and blocks until its
-// results arrive or ctx ends. Returns the results in the order modes
-// was given, how many requests shared the sweep, and whether the
-// response came from the result cache without sweeping.
+// Do submits one request (key + the registry modes it wants, without
+// duplicates + its activation seed, 0 = the network's own activations)
+// and blocks until its results arrive or ctx ends. Returns the results
+// in the order modes was given, how many requests shared the sweep,
+// and whether the response came from the result cache without
+// sweeping.
 func (b *Batcher) Do(ctx context.Context, key BatchKey, modes []sre.Mode, actSeed uint64) ([]sre.Result, int, bool, error) {
-	// Fast path: a fully cached request is answered immediately — it
-	// never joins a batch, waits out a coalescing window, or takes a
-	// sweep slot.
+	fk := flightKey{BatchKey: key, actSeed: actSeed}
+	for _, m := range modes {
+		fk.modes |= 1 << uint(m)
+	}
+
+	// The cache lookup and the in-flight check share one critical
+	// section. A sweep populates the cache before it leaves the
+	// in-flight map, so a request either hits the cache or finds the
+	// sweep still running — it never starts a second, identical sweep.
+	b.mu.Lock()
 	if res, ok := b.cache.Lookup(key, modes, actSeed); ok {
+		b.mu.Unlock()
 		return res, 1, true, nil
 	}
-
-	w := &waiter{ctx: ctx, modes: modes, actSeed: actSeed, ch: make(chan batchResult, 1)}
-
-	if b.window <= 0 {
-		// Coalescing disabled: claim the batch synchronously so every
-		// request really does sweep alone — a racing request can never
-		// join it, because it is never published in pending.
-		bt := &batch{acts: []uint64{actSeed}, waiters: []*waiter{w}}
-		for _, m := range modes {
-			if !containsMode(bt.modes, m) {
-				bt.modes = append(bt.modes, m)
-			}
-		}
-		go b.exec(key, bt)
+	f, ok := b.inflight[fk]
+	if ok {
+		b.coalesced.Inc()
 	} else {
-		b.mu.Lock()
-		bt, ok := b.pending[key]
-		if !ok {
-			bt = &batch{}
-			b.pending[key] = bt
-			time.AfterFunc(b.window, func() { b.run(key) })
-		} else {
-			b.coalesced.Inc()
-		}
-		bt.waiters = append(bt.waiters, w)
-		for _, m := range modes {
-			if !containsMode(bt.modes, m) {
-				bt.modes = append(bt.modes, m)
-			}
-		}
-		if !containsSeed(bt.acts, actSeed) {
-			bt.acts = append(bt.acts, actSeed)
-		}
-		b.mu.Unlock()
+		runCtx, cancel := context.WithCancel(b.base)
+		f = &flight{cancel: cancel, done: make(chan struct{})}
+		b.inflight[fk] = f
+		b.sweeps.Inc()
+		b.cache.Miss(len(modes))
+		go b.sweep(runCtx, fk, f, modes)
 	}
+	f.riders++
+	f.live++
+	b.mu.Unlock()
 
 	select {
-	case res := <-w.ch:
-		if res.err != nil {
-			return nil, res.size, false, res.err
+	case <-f.done:
+		if f.err != nil {
+			return nil, f.riders, false, f.err
 		}
 		out := make([]sre.Result, len(modes))
 		for i, m := range modes {
-			out[i] = res.byAct[actSeed][m]
+			out[i] = f.byMode[m]
 		}
-		return out, res.size, res.cached, nil
+		return out, f.riders, false, nil
 	case <-ctx.Done():
+		// The last rider to leave a running sweep cancels it, and takes
+		// it out of the map so a later identical request starts afresh.
+		b.mu.Lock()
+		f.live--
+		if f.live == 0 && b.inflight[fk] == f {
+			delete(b.inflight, fk)
+			b.cancels.Inc()
+			f.cancel()
+		}
+		b.mu.Unlock()
 		return nil, 0, false, ctx.Err()
 	}
 }
 
-// run claims the pending batch for key and executes it.
-func (b *Batcher) run(key BatchKey) {
-	b.mu.Lock()
-	bt := b.pending[key]
-	delete(b.pending, key)
-	b.mu.Unlock()
-	if bt == nil {
-		return
+// sweep runs one flight, populates the cache with its cells, and
+// delivers to every rider.
+func (b *Batcher) sweep(ctx context.Context, fk flightKey, f *flight, modes []sre.Mode) {
+	defer f.cancel()
+	byMode, err := b.run(ctx, fk.BatchKey, modes, fk.actSeed)
+	for m, r := range byMode {
+		b.cache.Put(fk.BatchKey, m, fk.actSeed, r)
 	}
-	b.exec(key, bt)
+	b.mu.Lock()
+	if b.inflight[fk] == f {
+		delete(b.inflight, fk)
+	}
+	b.mu.Unlock()
+	f.byMode, f.err = byMode, err
+	close(f.done)
 }
 
-// exec executes one claimed batch: from the result cache when every
-// (seed, mode) cell is present, otherwise as a sweep that then
-// populates the cache.
-func (b *Batcher) exec(key BatchKey, bt *batch) {
-	deliver := func(res batchResult) {
-		res.size = len(bt.waiters)
-		for _, w := range bt.waiters {
-			w.ch <- res // cap 1, one send per waiter: never blocks
-		}
-	}
-
-	// Serve the whole batch from cache if possible — before counting a
-	// sweep and before taking a sweep slot, so cache hits neither move
-	// sre_serve_sweeps_total nor queue behind running sweeps.
-	if byAct, ok := b.cache.LookupBatch(key, bt.modes, bt.acts); ok {
-		deliver(batchResult{byAct: byAct, cached: true})
-		return
-	}
-	b.sweeps.Inc()
-
-	// The sweep is cancelled only once every waiter has abandoned it.
-	runCtx, cancel := context.WithCancel(b.base)
-	defer cancel()
-	done := make(chan struct{})
-	defer close(done)
-	var live atomic.Int64
-	live.Store(int64(len(bt.waiters)))
-	for _, w := range bt.waiters {
-		go func(w *waiter) {
-			select {
-			case <-w.ctx.Done():
-				if live.Add(-1) == 0 {
-					b.cancels.Inc()
-					cancel()
-				}
-			case <-done:
-			}
-		}(w)
-	}
-
-	if err := b.budget.Acquire(runCtx); err != nil {
-		deliver(batchResult{err: err})
-		return
+// run simulates modes at one activation seed under a sweep slot,
+// keyed by mode.
+func (b *Batcher) run(ctx context.Context, key BatchKey, modes []sre.Mode, actSeed uint64) (map[sre.Mode]sre.Result, error) {
+	if err := b.budget.Acquire(ctx); err != nil {
+		return nil, err
 	}
 	defer b.budget.Release()
 
-	net, release, err := b.registry.Get(runCtx, key.Key)
+	net, release, err := b.registry.Get(ctx, key.Key)
 	if err != nil {
-		deliver(batchResult{err: err})
-		return
+		return nil, err
 	}
 	opts := append([]sre.Option{
 		sre.WithMaxWindows(key.MaxWindows),
 		sre.WithIndexBits(key.IndexBits),
 		sre.WithWorkers(b.workers),
 	}, b.opts...)
-	sets := make([]sre.ActivationSet, len(bt.acts))
-	for i, seed := range bt.acts {
-		sets[i] = sre.ActivationSet{ActSeed: seed}
-	}
-	grid, err := net.RunBatchContext(runCtx, bt.modes, sets, opts...)
+	grid, err := net.RunBatchContext(ctx, modes, []sre.ActivationSet{{ActSeed: actSeed}}, opts...)
 	// Unpin before delivering, so a client holding its response already
 	// sees the refreshed size and pin count in /v1/networks.
 	release()
 	if err != nil {
-		deliver(batchResult{err: err})
-		return
+		return nil, err
 	}
-	byAct := make(map[uint64]map[sre.Mode]sre.Result, len(bt.acts))
-	for i, seed := range bt.acts {
-		byMode := make(map[sre.Mode]sre.Result, len(grid[i]))
-		for _, r := range grid[i] {
-			// Strip the sweep-wide metrics snapshot: responses must be
-			// bit-identical to a direct run, and /metrics serves the
-			// aggregate view.
-			r.Metrics = nil
-			byMode[r.Mode] = r
-		}
-		byAct[seed] = byMode
+	byMode := make(map[sre.Mode]sre.Result, len(grid[0]))
+	for _, r := range grid[0] {
+		// Strip the sweep-wide metrics snapshot: responses must be
+		// bit-identical to a direct run, and /metrics serves the
+		// aggregate view.
+		r.Metrics = nil
+		byMode[r.Mode] = r
 	}
-	b.populate(key, byAct)
-	deliver(batchResult{byAct: byAct})
-}
-
-// populate feeds every (seed, mode) cell of a completed sweep into the
-// result cache.
-func (b *Batcher) populate(key BatchKey, byAct map[uint64]map[sre.Mode]sre.Result) {
-	if b.cache == nil {
-		return
-	}
-	for seed, byMode := range byAct {
-		for m, r := range byMode {
-			b.cache.Put(key, m, seed, r)
-		}
-	}
-}
-
-func containsMode(ms []sre.Mode, m sre.Mode) bool {
-	for _, x := range ms {
-		if x == m {
-			return true
-		}
-	}
-	return false
-}
-
-func containsSeed(ss []uint64, s uint64) bool {
-	for _, x := range ss {
-		if x == s {
-			return true
-		}
-	}
-	return false
+	return byMode, nil
 }

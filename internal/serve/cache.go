@@ -42,7 +42,7 @@ type ResultCache struct {
 	lru     list.List // *resultCacheEntry, front = most recent
 
 	hits      *metrics.Counter // (mode, seed) cells served from cache
-	misses    *metrics.Counter // cells that forced (or joined) a sweep
+	misses    *metrics.Counter // cells that forced a sweep
 	evictions *metrics.Counter // entries dropped under the byte cap
 	bytesG    *metrics.Gauge   // high-water accounted bytes
 }
@@ -73,8 +73,8 @@ func NewResultCache(capBytes int64, hits, misses, evictions *metrics.Counter, by
 // Lookup serves a whole request from cache: all-or-nothing over the
 // requested modes at one activation seed, in request order. A full hit
 // counts len(modes) cache hits and refreshes the entries' recency; a
-// partial or empty hit counts nothing (the sweep path will account the
-// batch's misses) and returns ok=false.
+// partial or empty hit counts nothing (the sweep that follows counts
+// its cells with Miss) and returns ok=false.
 func (c *ResultCache) Lookup(key BatchKey, modes []sre.Mode, actSeed uint64) ([]sre.Result, bool) {
 	if c == nil {
 		return nil, false
@@ -97,39 +97,12 @@ func (c *ResultCache) Lookup(key BatchKey, modes []sre.Mode, actSeed uint64) ([]
 	return out, true
 }
 
-// LookupBatch serves a whole coalesced batch from cache: every
-// (seed, mode) cell of the batch's union must be present. A full hit
-// counts one cache hit per cell and returns the fan-out map the
-// batcher delivers from; any absent cell counts every cell as a miss
-// (the batch is about to sweep them all) and returns ok=false.
-func (c *ResultCache) LookupBatch(key BatchKey, modes []sre.Mode, acts []uint64) (map[uint64]map[sre.Mode]sre.Result, bool) {
-	cells := int64(len(modes)) * int64(len(acts))
-	if c == nil {
-		return nil, false
+// Miss counts n cells a sweep is about to compute: once per sweep,
+// however many requests ride on it.
+func (c *ResultCache) Miss(n int) {
+	if c != nil {
+		c.misses.Add(int64(n))
 	}
-	c.mu.Lock()
-	byAct := make(map[uint64]map[sre.Mode]sre.Result, len(acts))
-	for _, seed := range acts {
-		byMode := make(map[sre.Mode]sre.Result, len(modes))
-		for _, m := range modes {
-			el, ok := c.entries[resultCacheKey{key, m, seed}]
-			if !ok {
-				c.mu.Unlock()
-				c.misses.Add(cells)
-				return nil, false
-			}
-			byMode[m] = el.Value.(*resultCacheEntry).res
-		}
-		byAct[seed] = byMode
-	}
-	for _, seed := range acts {
-		for _, m := range modes {
-			c.lru.MoveToFront(c.entries[resultCacheKey{key, m, seed}])
-		}
-	}
-	c.mu.Unlock()
-	c.hits.Add(cells)
-	return byAct, true
 }
 
 // Put caches one (mode, seed) cell of a completed sweep, evicting the

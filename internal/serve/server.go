@@ -1,12 +1,13 @@
 // Package serve is the sreserved simulation service: a long-lived
 // HTTP/JSON front end over the sre library that keeps built networks
 // resident (registry.go), admits a bounded number of concurrent
-// requests (admission.go), coalesces same-key requests into shared
-// sweeps (batcher.go), and drains gracefully on shutdown. One process
-// amortizes Load's workload synthesis and the simulator's plan and
-// window-code caches across every request that hits the same design
-// point — the serving shape ReRAM accelerator stacks assume, where the
-// compressed structures are built once and reused.
+// requests (admission.go), starts one sweep per distinct uncached
+// request and lets identical in-flight requests share it (batcher.go),
+// and drains gracefully on shutdown. One process amortizes Load's
+// workload synthesis and the simulator's plan and window-code caches
+// across every request that hits the same design point — the serving
+// shape ReRAM accelerator stacks assume, where the compressed
+// structures are built once and reused.
 package serve
 
 import (
@@ -32,9 +33,6 @@ type Options struct {
 	// MaxSweeps caps concurrent simulation sweeps (default 2), so
 	// admitted requests cannot oversubscribe the worker pool.
 	MaxSweeps int
-	// BatchWindow is the micro-batcher's coalescing delay (default
-	// 2ms; negative disables coalescing so every request sweeps alone).
-	BatchWindow time.Duration
 	// Workers is the per-sweep worker-pool width (0 = GOMAXPROCS).
 	Workers int
 	// DefaultTimeout applies when a request carries no timeout_ms
@@ -81,9 +79,6 @@ func (o Options) withDefaults() Options {
 	if o.MaxSweeps <= 0 {
 		o.MaxSweeps = 2
 	}
-	if o.BatchWindow == 0 {
-		o.BatchWindow = 2 * time.Millisecond
-	}
 	if o.DefaultTimeout <= 0 {
 		o.DefaultTimeout = 60 * time.Second
 	}
@@ -121,10 +116,6 @@ func NewServer(opts Options) *Server {
 	opts = opts.withDefaults()
 	base, stop := context.WithCancel(context.Background())
 	shard := opts.Metrics.Shard()
-	window := opts.BatchWindow
-	if window < 0 {
-		window = 0
-	}
 	s := &Server{
 		opts:     opts,
 		registry: NewRegistry(),
@@ -160,7 +151,7 @@ func NewServer(opts Options) *Server {
 		shard.Counter("sre_serve_result_cache_misses_total"),
 		shard.Counter("sre_serve_result_cache_evictions_total"),
 		shard.Gauge("sre_serve_result_cache_bytes"))
-	s.batcher = NewBatcher(s.registry, NewBudget(opts.MaxSweeps), cache, window,
+	s.batcher = NewBatcher(s.registry, NewBudget(opts.MaxSweeps), cache,
 		opts.Workers, base, shard, sre.WithMetrics(opts.Metrics))
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/simulate", s.handleSimulate)
@@ -216,8 +207,9 @@ type SimulateRequest struct {
 	Config ConfigOverrides `json:"config"`
 	// ActSeed, when non-zero, re-derives the network's activations from
 	// this seed (same statistics, independent random stream; weights
-	// and compression structures unchanged). Requests that differ only
-	// in act_seed coalesce into one batched multi-activation sweep.
+	// and compression structures unchanged). It is part of the request's
+	// identity: only requests with the same act_seed (and the same
+	// design point and mode set) share a sweep.
 	ActSeed uint64 `json:"act_seed,omitempty"`
 	// TimeoutMillis is the per-request deadline; 0 means the server
 	// default. The deadline propagates into the simulation via context
@@ -288,7 +280,7 @@ func (o ConfigOverrides) apply(cfg sre.Config) sre.Config {
 type SimulateResponse struct {
 	Network   string       `json:"network"`
 	Prune     string       `json:"prune"`
-	BatchSize int          `json:"batch_size"` // requests that shared the sweep
+	BatchSize int          `json:"batch_size"` // identical in-flight requests that shared the sweep (1 when cached)
 	Cached    bool         `json:"cached"`     // served from the result cache, no sweep
 	Results   []sre.Result `json:"results"`
 }
@@ -496,6 +488,15 @@ func (s *Server) resolve(req SimulateRequest) (Key, BatchKey, []sre.Mode, int, e
 	key := KeyFor(req.Network, prune, cfg)
 	return key, BatchKey{Key: key, MaxWindows: cfg.MaxWindows, IndexBits: cfg.IndexBits},
 		modes, 0, nil
+}
+
+func containsMode(ms []sre.Mode, m sre.Mode) bool {
+	for _, x := range ms {
+		if x == m {
+			return true
+		}
+	}
+	return false
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -406,48 +406,170 @@ func TestConcurrentSameKeyBuildsOnce(t *testing.T) {
 	}
 }
 
-func TestBatchCoalescing(t *testing.T) {
-	srv := NewServer(Options{BatchWindow: 150 * time.Millisecond})
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-
-	// Two same-key requests inside one window must share a sweep.
-	var wg sync.WaitGroup
-	sizes := make([]int, 2)
-	for i, mode := range []string{"orc", "dof"} {
-		wg.Add(1)
-		go func(i int, mode string) {
-			defer wg.Done()
-			status, body := postSimulate(t, ts.URL, fmt.Sprintf(
-				`{"network":"MNIST","mode":%q,"config":{"max_windows":6}}`, mode))
-			if status != http.StatusOK {
-				t.Errorf("status %d: %s", status, body)
-				return
-			}
-			sizes[i] = decodeSimulate(t, body).BatchSize
-		}(i, mode)
-	}
-	wg.Wait()
-	if sizes[0] != 2 || sizes[1] != 2 {
-		t.Fatalf("batch sizes = %v, want [2 2]", sizes)
-	}
-
-	// The batcher's own counters agree: one sweep, one coalesced rider.
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
+// holdSweeps takes srv's only sweep slot (the server must run with
+// MaxSweeps 1), so every sweep that starts blocks until the returned
+// func gives the slot back. Tests use it to keep requests in flight
+// together without relying on timing.
+func holdSweeps(t *testing.T, srv *Server) (release func()) {
+	t.Helper()
+	if err := srv.batcher.budget.Acquire(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	b, _ := io.ReadAll(resp.Body)
-	vals := parseProm(t, b)
-	if vals["sre_serve_sweeps_total"] != 1 {
-		t.Errorf("sre_serve_sweeps_total = %v, want 1", vals["sre_serve_sweeps_total"])
+	var once sync.Once
+	release = func() { once.Do(srv.batcher.budget.Release) }
+	t.Cleanup(release)
+	return release
+}
+
+// counter reads one of the server's counters.
+func counter(srv *Server, name string) int64 {
+	return srv.Metrics().Snapshot().Counters[name]
+}
+
+// waitCounter polls the named counter until it reaches want.
+func waitCounter(t *testing.T, srv *Server, name string, want int64) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for counter(srv, name) < want {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s = %d, never reached %d", name, counter(srv, name), want)
+		}
+		time.Sleep(200 * time.Microsecond)
 	}
-	if vals["sre_serve_coalesced_requests_total"] != 1 {
-		t.Errorf("sre_serve_coalesced_requests_total = %v, want 1",
-			vals["sre_serve_coalesced_requests_total"])
+}
+
+// postAsync posts body in the background; the returned channel yields
+// the decoded response, after reporting any non-200 as a test error.
+func postAsync(t *testing.T, url, body string) <-chan SimulateResponse {
+	ch := make(chan SimulateResponse, 1)
+	go func() {
+		resp, err := http.Post(url+"/v1/simulate", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Errorf("POST /v1/simulate: %v", err)
+			ch <- SimulateResponse{}
+			return
+		}
+		defer resp.Body.Close()
+		var out SimulateResponse
+		if resp.StatusCode != http.StatusOK {
+			b, _ := io.ReadAll(resp.Body)
+			t.Errorf("%s: status %d: %s", body, resp.StatusCode, b)
+		} else if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+			t.Errorf("%s: decode: %v", body, err)
+		}
+		ch <- out
+	}()
+	return ch
+}
+
+// TestIdenticalRequestsShareSweep: a request identical to one still
+// sweeping (same design point, act_seed and mode set — here named in
+// the other order) joins that sweep instead of starting its own, and
+// each rider gets its results in its own mode order.
+func TestIdenticalRequestsShareSweep(t *testing.T) {
+	srv := NewServer(Options{MaxSweeps: 1})
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close) // after holdSweeps' release, so a failed test cannot hang here
+	release := holdSweeps(t, srv)
+
+	first := postAsync(t, ts.URL, `{"network":"MNIST","modes":["orc","dof"],"config":{"max_windows":6}}`)
+	waitCounter(t, srv, "sre_serve_sweeps_total", 1)
+	second := postAsync(t, ts.URL, `{"network":"MNIST","modes":["dof","orc"],"config":{"max_windows":6}}`)
+	waitCounter(t, srv, "sre_serve_coalesced_requests_total", 1)
+	release()
+
+	orc, dof := expect(t, sre.ORC, sre.WithMaxWindows(6)), expect(t, sre.DOF, sre.WithMaxWindows(6))
+	for i, c := range []struct {
+		resp <-chan SimulateResponse
+		want []sre.Result
+	}{{first, []sre.Result{orc, dof}}, {second, []sre.Result{dof, orc}}} {
+		resp := <-c.resp
+		if resp.BatchSize != 2 || resp.Cached {
+			t.Errorf("request %d: batch_size %d cached %v, want 2 false", i, resp.BatchSize, resp.Cached)
+		}
+		if !reflect.DeepEqual(resp.Results, c.want) {
+			t.Errorf("request %d: shared-sweep results differ from direct runs", i)
+		}
 	}
-	// Coalesced results are still bit-identical per requester.
+	vals := parseProm(t, promBody(t, ts.URL))
+	if vals["sre_serve_sweeps_total"] != 1 || vals["sre_serve_coalesced_requests_total"] != 1 {
+		t.Errorf("sweeps_total %v coalesced %v, want 1 and 1",
+			vals["sre_serve_sweeps_total"], vals["sre_serve_coalesced_requests_total"])
+	}
+	if vals["sre_serve_result_cache_misses_total"] != 2 {
+		t.Errorf("result_cache_misses_total = %v, want 2 (one per swept cell, not per rider)",
+			vals["sre_serve_result_cache_misses_total"])
+	}
+}
+
+// TestDifferentModesSweepSeparately: same-key requests in flight
+// together, but for different modes, never merge — each sweeps alone.
+func TestDifferentModesSweepSeparately(t *testing.T) {
+	srv := NewServer(Options{MaxSweeps: 1})
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close) // after holdSweeps' release, so a failed test cannot hang here
+	release := holdSweeps(t, srv)
+
+	var resps []<-chan SimulateResponse
+	for _, mode := range []string{"orc", "dof"} {
+		resps = append(resps, postAsync(t, ts.URL, fmt.Sprintf(
+			`{"network":"MNIST","mode":%q,"config":{"max_windows":6}}`, mode)))
+	}
+	waitCounter(t, srv, "sre_serve_sweeps_total", 2)
+	release()
+	for i, mode := range []sre.Mode{sre.ORC, sre.DOF} {
+		resp := <-resps[i]
+		if resp.BatchSize != 1 {
+			t.Errorf("%v: batch_size = %d, want 1", mode, resp.BatchSize)
+		}
+		if len(resp.Results) != 1 || !reflect.DeepEqual(resp.Results[0], expect(t, mode, sre.WithMaxWindows(6))) {
+			t.Errorf("%v: served result differs from direct RunContext", mode)
+		}
+	}
+	vals := parseProm(t, promBody(t, ts.URL))
+	if vals["sre_serve_sweeps_total"] != 2 || vals["sre_serve_coalesced_requests_total"] != 0 {
+		t.Errorf("sweeps_total %v coalesced %v, want 2 and 0",
+			vals["sre_serve_sweeps_total"], vals["sre_serve_coalesced_requests_total"])
+	}
+}
+
+// TestSharedSweepSurvivesOneRidersTimeout pins the shared-deadline
+// rule: a rider whose deadline expires gets its 504, but the sweep it
+// shared keeps running for the rider still waiting. Only when its sole
+// rider gives up is a sweep cancelled.
+func TestSharedSweepSurvivesOneRidersTimeout(t *testing.T) {
+	srv := NewServer(Options{MaxSweeps: 1})
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close) // after holdSweeps' release, so a failed test cannot hang here
+	release := holdSweeps(t, srv)
+
+	const req = `{"network":"MNIST","mode":"orc+dof","config":{"max_windows":6},"timeout_ms":%d}`
+	patient := postAsync(t, ts.URL, fmt.Sprintf(req, 60000))
+	waitCounter(t, srv, "sre_serve_sweeps_total", 1)
+	if status, body := postSimulate(t, ts.URL, fmt.Sprintf(req, 1)); status != http.StatusGatewayTimeout {
+		t.Fatalf("impatient rider: status %d (want 504): %s", status, body)
+	}
+	if got := counter(srv, "sre_serve_coalesced_requests_total"); got != 1 {
+		t.Fatalf("coalesced = %d: the impatient request did not ride the running sweep", got)
+	}
+	release()
+	resp := <-patient
+	if len(resp.Results) != 1 || !reflect.DeepEqual(resp.Results[0], expect(t, sre.ORCDOF, sre.WithMaxWindows(6))) {
+		t.Fatalf("patient rider: results %+v differ from direct RunContext", resp.Results)
+	}
+	if got := counter(srv, "sre_serve_sweep_cancels_total"); got != 0 {
+		t.Fatalf("sweep_cancels_total = %d after one of two riders timed out, want 0", got)
+	}
+
+	// A sole rider's timeout does cancel its sweep.
+	holdSweeps(t, srv)
+	if status, body := postSimulate(t, ts.URL,
+		`{"network":"MNIST","mode":"dof","config":{"max_windows":6},"timeout_ms":1}`); status != http.StatusGatewayTimeout {
+		t.Fatalf("sole rider: status %d (want 504): %s", status, body)
+	}
+	if got := counter(srv, "sre_serve_sweep_cancels_total"); got != 1 {
+		t.Fatalf("sweep_cancels_total = %d after the sole rider timed out, want 1", got)
+	}
 }
 
 func TestLoadBitIdenticalAndMetricsMidLoad(t *testing.T) {
@@ -603,77 +725,52 @@ func TestHealthz(t *testing.T) {
 	}
 }
 
-// TestActSeedCoalescing is the serving half of the batched
-// multi-activation tentpole: requests that differ only in act_seed
-// must coalesce into ONE sweep (one batched RunBatchContext under the
-// hood), and each requester's results must be bit-identical to the
-// same request swept alone — a one-set RunBatchContext sweep, for the
-// act_seed 0 requester too.
-func TestActSeedCoalescing(t *testing.T) {
-	reqBody := func(seed uint64) string {
-		return fmt.Sprintf(
-			`{"network":"MNIST","modes":["dof","orc+dof","baseline"],"config":{"max_windows":6},"act_seed":%d}`,
-			seed)
-	}
-	seeds := []uint64{0, 41, 42}
-
-	// Solo references: coalescing disabled, every request sweeps alone.
-	solo := NewServer(Options{BatchWindow: -1})
-	tsSolo := httptest.NewServer(solo)
-	defer tsSolo.Close()
-	want := make([]SimulateResponse, len(seeds))
-	for i, s := range seeds {
-		status, body := postSimulate(t, tsSolo.URL, reqBody(s))
-		if status != http.StatusOK {
-			t.Fatalf("solo seed %d: status %d: %s", s, status, body)
-		}
-		want[i] = decodeSimulate(t, body)
-	}
-	if reflect.DeepEqual(want[0].Results, want[1].Results) {
-		t.Fatal("act_seed had no effect on solo results")
-	}
-
-	// Concurrent requests inside one window, differing only in act_seed.
-	srv := NewServer(Options{BatchWindow: 200 * time.Millisecond})
+// TestDistinctActSeedsSweepSeparately: requests in flight together
+// that differ only in act_seed each run their own sweep, and each
+// response is bit-identical to a one-set direct RunBatchContext with
+// that seed — for the act_seed 0 requester too.
+func TestDistinctActSeedsSweepSeparately(t *testing.T) {
+	srv := NewServer(Options{MaxSweeps: 1})
 	ts := httptest.NewServer(srv)
-	defer ts.Close()
-	var wg sync.WaitGroup
-	got := make([]SimulateResponse, len(seeds))
-	for i, s := range seeds {
-		wg.Add(1)
-		go func(i int, s uint64) {
-			defer wg.Done()
-			status, body := postSimulate(t, ts.URL, reqBody(s))
-			if status != http.StatusOK {
-				t.Errorf("batched seed %d: status %d: %s", s, status, body)
-				return
-			}
-			got[i] = decodeSimulate(t, body)
-		}(i, s)
-	}
-	wg.Wait()
-	for i, s := range seeds {
-		if got[i].BatchSize != len(seeds) {
-			t.Errorf("seed %d: batch_size = %d, want %d", s, got[i].BatchSize, len(seeds))
-		}
-		if !reflect.DeepEqual(got[i].Results, want[i].Results) {
-			t.Errorf("seed %d: coalesced results differ from solo sweep", s)
-		}
-	}
+	t.Cleanup(ts.Close) // after holdSweeps' release, so a failed test cannot hang here
+	release := holdSweeps(t, srv)
 
-	// The batcher agrees it ran exactly one sweep for the three.
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
+	modes := []sre.Mode{sre.DOF, sre.ORCDOF, sre.Baseline}
+	seeds := []uint64{0, 41, 42}
+	var resps []<-chan SimulateResponse
+	for _, seed := range seeds {
+		resps = append(resps, postAsync(t, ts.URL, fmt.Sprintf(
+			`{"network":"MNIST","modes":["dof","orc+dof","baseline"],"config":{"max_windows":6},"act_seed":%d}`, seed)))
 	}
-	defer resp.Body.Close()
-	b, _ := io.ReadAll(resp.Body)
-	vals := parseProm(t, b)
-	if vals["sre_serve_sweeps_total"] != 1 {
-		t.Errorf("sre_serve_sweeps_total = %v, want 1", vals["sre_serve_sweeps_total"])
+	waitCounter(t, srv, "sre_serve_sweeps_total", int64(len(seeds)))
+	release()
+
+	var first []sre.Result
+	for i, seed := range seeds {
+		grid, err := mnistDirect(t).RunBatchContext(context.Background(), modes,
+			[]sre.ActivationSet{{ActSeed: seed}}, sre.WithMaxWindows(6))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := range grid[0] {
+			grid[0][j].Metrics = nil
+		}
+		resp := <-resps[i]
+		if resp.BatchSize != 1 {
+			t.Errorf("seed %d: batch_size = %d, want 1", seed, resp.BatchSize)
+		}
+		if !reflect.DeepEqual(resp.Results, grid[0]) {
+			t.Errorf("seed %d: served results differ from a direct one-set RunBatchContext", seed)
+		}
+		if i == 0 {
+			first = resp.Results
+		} else if reflect.DeepEqual(resp.Results, first) {
+			t.Errorf("act_seed %d had no effect on the served results", seed)
+		}
 	}
-	if vals["sre_serve_coalesced_requests_total"] != 2 {
-		t.Errorf("sre_serve_coalesced_requests_total = %v, want 2",
-			vals["sre_serve_coalesced_requests_total"])
+	vals := parseProm(t, promBody(t, ts.URL))
+	if vals["sre_serve_sweeps_total"] != float64(len(seeds)) || vals["sre_serve_coalesced_requests_total"] != 0 {
+		t.Errorf("sweeps_total %v coalesced %v, want %d and 0",
+			vals["sre_serve_sweeps_total"], vals["sre_serve_coalesced_requests_total"], len(seeds))
 	}
 }

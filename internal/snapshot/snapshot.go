@@ -306,7 +306,11 @@ func encodeBody(k Key, b *workload.Built, o WriteOptions) (meta, payload []byte,
 		// ORC plan set — the expensive-to-derive section. Skipped when the
 		// geometry outgrows the u16 row encoding or the section the bound.
 		if st.Layout.XbarRows <= 0xFFFF {
-			pb := compress.AppendPlanSet(nil, st.PlanSet(compress.ORC, effIdx))
+			ps, err := st.PlanSet(compress.ORC, effIdx)
+			if err != nil {
+				return nil, nil, err
+			}
+			pb := compress.AppendPlanSet(nil, ps)
 			if len(pb) <= maxPlanSectionBytes {
 				lm.PlanBytes = len(pb)
 				payload = append(payload, pb...)

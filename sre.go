@@ -866,12 +866,11 @@ type ActivationSet struct {
 // shares everything activation-independent across sets — compression
 // plans, window-code and slice-mask planes, scratch arenas, and (for
 // the static modes, which never read activation values) the entire
-// simulation — so a coalesced sweep is sub-linear in the number of
+// simulation — so a batched sweep is sub-linear in the number of
 // sets. Modes run concurrently through one shared worker pool. Per-run
 // options follow RunContext's rules; WithProgress reports each mode's
 // layers once, with the first set's numbers. Every other Run method is
-// a batch of this one, and sreserved's micro-batcher serves every
-// coalesced sweep through it.
+// a batch of this one.
 func (n *Network) RunBatchContext(ctx context.Context, modes []Mode, sets []ActivationSet, opts ...Option) ([][]Result, error) {
 	if len(modes) == 0 {
 		return nil, fmt.Errorf("sre: RunBatchContext needs at least one mode")
