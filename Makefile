@@ -5,11 +5,10 @@
 GO ?= go
 
 # Where each record-writing target writes. There is no default: every
-# run names its own file, so a bare `make bench` (or bench-coldstart,
-# bench-load, bench-cluster, experiments) cannot overwrite a historical
-# record (BENCH_PR2.json, …):
+# run names its own file, so a bare `make bench` (or bench-load,
+# bench-cluster, experiments) cannot overwrite a historical record
+# (BENCH_PR2.json, …):
 #   make bench BENCH_OUT=BENCH_NEW.json
-#   make bench-coldstart BENCH_COLDSTART_OUT=/tmp/coldstart.json
 #   make bench-load BENCH_LOAD_OUT=/tmp/load.json
 #   make bench-cluster BENCH_CLUSTER_OUT=/tmp/cluster.json
 #   make experiments BENCH_EXP_OUT=/tmp/wss.json
@@ -27,14 +26,14 @@ BENCH_OLD ?= BENCH_PR7_BASE.json
 BENCH_COUNT ?= 1
 
 # The benchmark set `make bench` records: the per-mode simulator
-# kernels and the six-mode VGG-16 sweep in the root package, plus the
-# popcount-kernel and plane-construction microbenches in
+# kernels and the batched multi-activation sweep in the root package,
+# plus the popcount-kernel and plane-construction microbenches in
 # internal/bitset so kernel-dispatch regressions show up in the same
 # trajectory record.
-BENCH_PATTERN = BenchmarkSimulateLayer|BenchmarkVGG16Sweep|BenchmarkBatchedSweep
+BENCH_PATTERN = BenchmarkSimulateLayer|BenchmarkBatchedSweep
 BENCH_PATTERN_BITSET = BenchmarkCountWords|BenchmarkCountAndPlanes|BenchmarkBuildSliceMasks
 
-.PHONY: all build vet test race bench-smoke smoke verify bench bench-rebaseline bench-quick bench-sweep bench-compare bench-coldstart bench-load bench-cluster experiments snapshot-roundtrip results profile clean
+.PHONY: all build vet test race bench-smoke smoke verify bench bench-rebaseline bench-quick bench-compare bench-load bench-cluster experiments snapshot-roundtrip results profile clean
 
 all: verify
 
@@ -72,8 +71,8 @@ smoke:
 	./scripts/smoke_cluster.sh ./bin/sreserved
 
 # bench runs the simulator hot-path benchmarks (per-mode kernel vs
-# scalar reference, the six-mode VGG-16 sweep, the batched
-# multi-activation sweep, and the bitset popcount/plane kernels) with
+# scalar reference, the batched multi-activation sweep, and the
+# bitset popcount/plane kernels) with
 # -benchmem and records ns/op, B/op, and allocs/op in $(BENCH_OUT).
 # BENCH_COUNT > 1 repeats each benchmark and records min/median.
 # require-out fails the calling target unless the named output variable
@@ -111,27 +110,11 @@ bench-rebaseline:
 bench-quick:
 	$(GO) test -bench . -benchtime 1x -run=NONE .
 
-# The parallel engine's acceptance benchmark: six-mode VGG-16 sweep,
-# serial vs worker-pool (expect ≥3x at GOMAXPROCS≥4; identical results
-# either way).
-bench-sweep:
-	$(GO) test -bench 'BenchmarkVGG16Sweep' -benchtime 2x -run=NONE .
-
 # bench-compare prints the per-benchmark ns/op, B/op, and allocs/op
 # deltas between the previous PR's record and the current one.
 bench-compare:
 	$(GO) build -o bin/benchjson ./cmd/benchjson
 	./bin/benchjson -compare $(BENCH_OLD) $(BENCH_OUT)
-
-# bench-coldstart records the snapshot format's acceptance numbers:
-# VGG-16 cold start through a full build vs through OpenSnapshot
-# (expect OpenSnapshot ≥10x faster) into $(BENCH_COLDSTART_OUT)
-# (BENCH_PR6.json holds the original record).
-bench-coldstart:
-	$(call require-out,bench-coldstart,BENCH_COLDSTART_OUT)
-	$(GO) build -o bin/benchjson ./cmd/benchjson
-	$(GO) test -run=NONE -bench 'BenchmarkColdStart' \
-		-benchmem -benchtime 2x . | ./bin/benchjson -out $(BENCH_COLDSTART_OUT)
 
 # bench-load records the serving SLO numbers: sreload replays a skewed
 # repeated-key workload against sreserved with the result cache off,

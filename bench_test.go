@@ -130,37 +130,6 @@ func BenchmarkSimulateLayerORCDOF(b *testing.B) {
 	}
 }
 
-// ---- worker-pool scaling (the tentpole's acceptance benchmark) ----
-//
-// BenchmarkVGG16Sweep* run the full six-mode VGG-16 sweep — the hot
-// path the parallel engine exists for — at explicit worker widths.
-// With GOMAXPROCS≥4 the parallel variant should be ≥3× the serial one
-// (dynamic window sharding over the shared code planes rebalances the
-// skewed per-window DOF costs); both produce bit-identical results
-// (see TestSerialParallelBitIdentical).
-
-func benchVGG16Sweep(b *testing.B, workers int) {
-	b.Helper()
-	net, err := sre.Load("VGG-16", sre.WithPrune(sre.SSL),
-		sre.WithMaxWindows(12), sre.WithWorkers(workers))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		results, err := net.RunAll()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(results) != len(sre.Modes()) {
-			b.Fatal("missing mode results")
-		}
-	}
-}
-
-func BenchmarkVGG16SweepSerial(b *testing.B)   { benchVGG16Sweep(b, 1) }
-func BenchmarkVGG16SweepParallel(b *testing.B) { benchVGG16Sweep(b, 0) }
-
 // BenchmarkLoadNetwork measures workload synthesis + structure building.
 func BenchmarkLoadNetwork(b *testing.B) {
 	for i := 0; i < b.N; i++ {

@@ -29,8 +29,8 @@ func (s *benchActs) WindowCodes(w int, dst []uint32) { copy(dst, s.rows[w]) }
 // benchLayer builds the same shape as the core package's hot-path
 // micro-benchmark: 512 rows, 64 logical columns, 70% weight sparsity,
 // 16 windows of 60%-sparse activations.
-func benchLayer(b *testing.B) core.Layer {
-	b.Helper()
+func benchLayer(tb testing.TB) core.Layer {
+	tb.Helper()
 	p := quant.Default()
 	g := mapping.Default()
 	r := xrand.New(99)
@@ -57,14 +57,15 @@ func benchLayer(b *testing.B) core.Layer {
 	return core.Layer{Name: "bench", Struct: st, Acts: src}
 }
 
+// kernelModes are the eight Modes() registry modes (OCC, the opt-in
+// ninth, is not a kernel path: it has no phase 1 and no scalar variant).
+var kernelModes = []core.Mode{core.ModeBaseline, core.ModeNaive, core.ModeReCom, core.ModeORC,
+	core.ModeDOF, core.ModeORCDOF, core.ModeWSS, core.ModeORCDOFWSS}
+
 func benchSimulateLayer(b *testing.B, scalar bool) {
 	layer := benchLayer(b)
 	ctx := context.Background()
-	// The eight Modes() registry modes (OCC, the opt-in ninth, is not a
-	// kernel path: it has no phase 1 and no scalar variant).
-	modes := []core.Mode{core.ModeBaseline, core.ModeNaive, core.ModeReCom, core.ModeORC,
-		core.ModeDOF, core.ModeORCDOF, core.ModeWSS, core.ModeORCDOFWSS}
-	for _, mode := range modes {
+	for _, mode := range kernelModes {
 		b.Run(mode.String(), func(b *testing.B) {
 			cfg := core.DefaultConfig()
 			cfg.Mode = mode

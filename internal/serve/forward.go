@@ -77,7 +77,7 @@ func newCluster(peers []string, self string, shardM *metrics.Shard) (*cluster, e
 		ring: ring,
 		self: self,
 		// No client-level timeout: each hop's deadline comes from the
-		// request context (per-request timeout_ms clamped to MaxTimeout).
+		// request context (requestTimeout).
 		client:      &http.Client{Transport: transport},
 		forwarded:   shardM.Counter("sre_serve_forwarded_total"),
 		forwardErrs: shardM.Counter("sre_serve_forward_errors_total"),
@@ -99,14 +99,7 @@ func (s *Server) forward(w http.ResponseWriter, r *http.Request, owner string, r
 	c := s.cluster
 	c.forwarded.Inc()
 
-	timeout := s.opts.DefaultTimeout
-	if req.TimeoutMillis > 0 {
-		timeout = time.Duration(req.TimeoutMillis) * time.Millisecond
-	}
-	if timeout > s.opts.MaxTimeout {
-		timeout = s.opts.MaxTimeout
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
+	ctx, cancel := context.WithTimeout(r.Context(), requestTimeout(req))
 	defer cancel()
 
 	body, err := json.Marshal(req)

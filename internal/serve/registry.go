@@ -30,59 +30,30 @@ import (
 )
 
 // Key identifies one resident network: the build-scoped part of a
-// request. Run-scoped knobs (MaxWindows, IndexBits, workers, code
-// cache) are per-run options on the shared instance and do not fork a
-// new build.
+// request. Config is a build point (sre.Config.BuildPoint): run-scoped
+// knobs (MaxWindows, IndexBits, workers) are per-run options on the
+// shared instance and do not fork a new build.
 type Key struct {
-	Network        string
-	Prune          sre.PruneStyle
-	Crossbar       int
-	OUHeight       int
-	OUWidth        int
-	WeightBits     int
-	ActivationBits int
-	CellBits       int
-	DACBits        int
-	SliceCap       int
-	Seed           uint64
+	Network string
+	Prune   sre.PruneStyle
+	Config  sre.Config
 }
 
-// KeyFor extracts the build-scoped fields of cfg into a Key.
+// KeyFor keys the network that network, prune and cfg's build point
+// name.
 func KeyFor(network string, prune sre.PruneStyle, cfg sre.Config) Key {
-	return Key{
-		Network:        network,
-		Prune:          prune,
-		Crossbar:       cfg.CrossbarSize,
-		OUHeight:       cfg.OUHeight,
-		OUWidth:        cfg.OUWidth,
-		WeightBits:     cfg.WeightBits,
-		ActivationBits: cfg.ActivationBits,
-		CellBits:       cfg.CellBits,
-		DACBits:        cfg.DACBits,
-		SliceCap:       cfg.SliceCap,
-		Seed:           cfg.Seed,
-	}
+	return Key{Network: network, Prune: prune, Config: cfg.BuildPoint()}
 }
 
-// Config reconstitutes the build config the key stands for; run-scoped
-// fields stay at their defaults (they are per-request).
-func (k Key) Config() sre.Config {
-	cfg := sre.DefaultConfig()
-	cfg.CrossbarSize = k.Crossbar
-	cfg.OUHeight, cfg.OUWidth = k.OUHeight, k.OUWidth
-	cfg.WeightBits, cfg.ActivationBits = k.WeightBits, k.ActivationBits
-	cfg.CellBits, cfg.DACBits = k.CellBits, k.DACBits
-	cfg.SliceCap = k.SliceCap
-	cfg.Seed = k.Seed
-	return cfg
-}
-
+// String is the key's stable text form: consistent-hash ring ownership
+// hashes it and /v1/networks prints it.
 func (k Key) String() string {
+	c := k.Config
 	s := fmt.Sprintf("%s/%s/xbar%d/ou%dx%d/w%da%d/cell%d/dac%d/seed%d",
-		k.Network, k.Prune, k.Crossbar, k.OUHeight, k.OUWidth,
-		k.WeightBits, k.ActivationBits, k.CellBits, k.DACBits, k.Seed)
-	if k.SliceCap > 0 {
-		s += fmt.Sprintf("/slicecap%d", k.SliceCap)
+		k.Network, k.Prune, c.CrossbarSize, c.OUHeight, c.OUWidth,
+		c.WeightBits, c.ActivationBits, c.CellBits, c.DACBits, c.Seed)
+	if c.SliceCap > 0 {
+		s += fmt.Sprintf("/slicecap%d", c.SliceCap)
 	}
 	return s
 }
@@ -179,7 +150,7 @@ func (r *Registry) Get(ctx context.Context, key Key) (*sre.Network, func(), erro
 func (r *Registry) build(e *regEntry) {
 	r.builds.Add(1)
 	r.buildsC.Inc()
-	opts := []sre.Option{sre.WithConfig(e.key.Config()), sre.WithPrune(e.key.Prune)}
+	opts := []sre.Option{sre.WithConfig(e.key.Config), sre.WithPrune(e.key.Prune)}
 	if r.snapshotDir != "" {
 		opts = append(opts, sre.WithSnapshotDir(r.snapshotDir))
 	}

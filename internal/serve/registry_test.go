@@ -12,6 +12,21 @@ import (
 func TestRegistrySingleflight(t *testing.T) {
 	r := NewRegistry()
 	key := KeyFor("MNIST", sre.SSL, sre.DefaultConfig())
+	// The string form decides ring ownership across replicas, so it is
+	// pinned exactly; run-scoped fields must not fork the key.
+	const want = "MNIST/ssl/xbar128/ou16x16/w16a16/cell2/dac1/seed1"
+	if got := key.String(); got != want {
+		t.Fatalf("default key = %q, want %q", got, want)
+	}
+	cfg := sre.DefaultConfig()
+	cfg.MaxWindows, cfg.IndexBits, cfg.Workers = 6, 4, 3
+	if KeyFor("MNIST", sre.SSL, cfg) != key {
+		t.Fatalf("run-scoped fields forked the key: %+v", KeyFor("MNIST", sre.SSL, cfg))
+	}
+	cfg.SliceCap = 2
+	if got := KeyFor("MNIST", sre.SSL, cfg).String(); got != want+"/slicecap2" {
+		t.Fatalf("capped key = %q, want %q", got, want+"/slicecap2")
+	}
 
 	const callers = 16
 	nets := make([]*sre.Network, callers)

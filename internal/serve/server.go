@@ -35,11 +35,6 @@ type Options struct {
 	MaxSweeps int
 	// Workers is the per-sweep worker-pool width (0 = GOMAXPROCS).
 	Workers int
-	// DefaultTimeout applies when a request carries no timeout_ms
-	// (default 60s); MaxTimeout caps what a request may ask for
-	// (default 5m).
-	DefaultTimeout time.Duration
-	MaxTimeout     time.Duration
 	// Metrics receives both the server's own counters and every
 	// sweep's simulator metrics; /metrics serves it. NewServer creates
 	// one when nil.
@@ -78,12 +73,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxSweeps <= 0 {
 		o.MaxSweeps = 2
-	}
-	if o.DefaultTimeout <= 0 {
-		o.DefaultTimeout = 60 * time.Second
-	}
-	if o.MaxTimeout <= 0 {
-		o.MaxTimeout = 5 * time.Minute
 	}
 	if o.ResultCacheBytes == 0 {
 		o.ResultCacheBytes = 256 << 20
@@ -211,10 +200,29 @@ type SimulateRequest struct {
 	// identity: only requests with the same act_seed (and the same
 	// design point and mode set) share a sweep.
 	ActSeed uint64 `json:"act_seed,omitempty"`
-	// TimeoutMillis is the per-request deadline; 0 means the server
-	// default. The deadline propagates into the simulation via context
-	// cancellation; an expired request gets 504.
+	// TimeoutMillis is the per-request deadline: 0 means 60 s, and
+	// 5 min caps it (requestTimeout). The deadline propagates into the
+	// simulation via context cancellation; an expired request gets 504.
 	TimeoutMillis int64 `json:"timeout_ms,omitempty"`
+}
+
+// Request deadlines: defaultTimeout applies when a request carries no
+// timeout_ms, and maxTimeout caps what a request may ask for.
+const (
+	defaultTimeout = 60 * time.Second
+	maxTimeout     = 5 * time.Minute
+)
+
+// requestTimeout is req's deadline, on this replica and on the
+// forwarded hop alike.
+func requestTimeout(req SimulateRequest) time.Duration {
+	switch {
+	case req.TimeoutMillis <= 0:
+		return defaultTimeout
+	case req.TimeoutMillis >= maxTimeout.Milliseconds():
+		return maxTimeout
+	}
+	return time.Duration(req.TimeoutMillis) * time.Millisecond
 }
 
 // ConfigOverrides patches sre.DefaultConfig field by field. Build-
@@ -392,14 +400,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.gate.Leave()
 
-	timeout := s.opts.DefaultTimeout
-	if req.TimeoutMillis > 0 {
-		timeout = time.Duration(req.TimeoutMillis) * time.Millisecond
-	}
-	if timeout > s.opts.MaxTimeout {
-		timeout = s.opts.MaxTimeout
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
+	ctx, cancel := context.WithTimeout(r.Context(), requestTimeout(req))
 	defer cancel()
 
 	results, size, cached, err := s.batcher.Do(ctx, batchKey, modes, req.ActSeed)

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -360,6 +361,27 @@ func TestDeadlineExceededDoesNotPoison(t *testing.T) {
 	// The abandoned request's build completed and was reused.
 	if got := srv.Registry().Builds(); got != 1 {
 		t.Fatalf("Builds() = %d, want 1", got)
+	}
+}
+
+// TestRequestTimeout pins the deadline rule the handler and the
+// forwarded hop share, including a timeout_ms too large for a
+// time.Duration, which must cap rather than overflow into an
+// already-expired deadline.
+func TestRequestTimeout(t *testing.T) {
+	for _, tc := range []struct {
+		millis int64
+		want   time.Duration
+	}{
+		{0, 60 * time.Second},
+		{-5, 60 * time.Second},
+		{1500, 1500 * time.Millisecond},
+		{(10 * time.Minute).Milliseconds(), 5 * time.Minute},
+		{math.MaxInt64, 5 * time.Minute},
+	} {
+		if got := requestTimeout(SimulateRequest{TimeoutMillis: tc.millis}); got != tc.want {
+			t.Errorf("timeout_ms %d: deadline %v, want %v", tc.millis, got, tc.want)
+		}
 	}
 }
 

@@ -269,12 +269,27 @@ func DefaultConfig() Config {
 	}
 }
 
+// BuildPoint returns c with its run-scoped fields (IndexBits,
+// MaxWindows, Workers) reset to DefaultConfig's values, keeping the
+// fields that choose the built network: geometry, precision, seed and
+// slice cap. Two configs build the same network exactly when their
+// build points are equal and their prune styles agree (Build also
+// takes WithSparsity, which is not a Config field). Runs and
+// OpenSnapshot reject options that would change it, and sreserved
+// keys its resident networks by it.
+func (c Config) BuildPoint() Config {
+	d := DefaultConfig()
+	c.IndexBits, c.MaxWindows, c.Workers = d.IndexBits, d.MaxWindows, d.Workers
+	return c
+}
+
 // settings is the resolved option set a constructor or run starts from.
 type settings struct {
 	cfg         Config
 	style       PruneStyle
 	weightSp    float64 // Build: overall weight-sparsity target
 	actSp       float64 // Build: overall activation-sparsity target
+	sparsitySet bool    // WithSparsity given: build-scoped, so rebase rejects it
 	progress    func(Progress)
 	metrics     *metrics.Registry
 	snapshotDir string
@@ -332,8 +347,10 @@ func WithWorkers(n int) Option { return func(s *settings) { s.cfg.Workers = n } 
 
 // WithSparsity sets Build's overall weight and activation sparsity
 // targets (ignored by Load, whose networks carry Table 2 sparsities).
+// Like the build point it shapes the weights, so runs and OpenSnapshot
+// reject it.
 func WithSparsity(weight, activation float64) Option {
-	return func(s *settings) { s.weightSp, s.actSp = weight, activation }
+	return func(s *settings) { s.weightSp, s.actSp, s.sparsitySet = weight, activation, true }
 }
 
 // WithSliceCap caps quantized weight magnitudes at build time so every
@@ -404,6 +421,23 @@ func (s settings) apply(opts []Option) settings {
 		o(&s)
 	}
 	return s
+}
+
+// rebase applies opts over an already built network's settings s,
+// rejecting any option that would change what was built — a different
+// build point (Config.BuildPoint) or prune style, or WithSparsity —
+// and any value Config.Validate refuses. Runs and OpenSnapshot both
+// resolve their options through it.
+func (s settings) rebase(opts []Option) (settings, error) {
+	r := s.apply(opts)
+	if r.cfg.BuildPoint() != s.cfg.BuildPoint() || r.style != s.style || r.sparsitySet {
+		return settings{}, fmt.Errorf(
+			"sre: option would change the built network (geometry, precision, seed, slice cap, prune style, or sparsity); pass it to Load/Build instead")
+	}
+	if err := r.cfg.Validate(); err != nil {
+		return settings{}, err
+	}
+	return r, nil
 }
 
 func (c Config) geometry() mapping.Geometry {
@@ -602,35 +636,58 @@ func buildNetwork(spec workload.Spec, s settings) (*Network, error) {
 	if err := s.cfg.Validate(); err != nil {
 		return nil, err
 	}
-	mode, err := s.style.pruneMode()
+	k, wopts, err := snapshotKey(spec, s.style, s.cfg)
 	if err != nil {
 		return nil, err
 	}
-	if s.cfg.SliceCap > 0 {
-		spec.SliceCap = s.cfg.SliceCap
-	}
+	n := &Network{name: k.Spec.Name, spec: k.Spec, cfg: s.cfg, style: s.style, progress: s.progress}
+	pool := parallel.New(s.cfg.Workers)
 	if s.snapshotDir != "" {
-		key := snapshot.Key{Spec: spec, Prune: mode, Quant: s.cfg.params(),
-			Geom: s.cfg.geometry(), Seed: s.cfg.Seed}
-		wopts := snapshot.WriteOptions{MaxWindows: s.cfg.MaxWindows}
-		if s.cfg.IndexBits > 0 {
-			wopts.IndexBits = s.cfg.IndexBits
-		} else {
-			wopts.IndexBits = spec.IndexBits
-		}
-		built, hit, err := snapshot.LoadOrBuild(s.snapshotDir, key, wopts, parallel.New(s.cfg.Workers))
-		if err != nil {
-			return nil, err
-		}
-		return &Network{name: spec.Name, spec: spec, built: built, cfg: s.cfg,
-			style: s.style, progress: s.progress, fromSnapshot: hit}, nil
+		n.built, n.fromSnapshot, err = snapshot.LoadOrBuild(s.snapshotDir, k, wopts, pool)
+	} else {
+		n.built, err = k.Spec.Build(k.Prune, k.Quant, k.Geom, k.Seed, pool)
 	}
-	built, err := spec.Build(mode, s.cfg.params(), s.cfg.geometry(), s.cfg.Seed, parallel.New(s.cfg.Workers))
 	if err != nil {
 		return nil, err
 	}
-	return &Network{name: spec.Name, spec: spec, built: built, cfg: s.cfg,
-		style: s.style, progress: s.progress}, nil
+	return n, nil
+}
+
+// snapshotKey converts a build's inputs into its snapshot identity: the
+// content-hashed Key (the spec with the slice cap folded in, the prune
+// mode, and cfg's build point) plus the run-scoped widths the derived
+// sections persist at. fromSnapshotKey is its inverse.
+func snapshotKey(spec workload.Spec, style PruneStyle, cfg Config) (snapshot.Key, snapshot.WriteOptions, error) {
+	mode, err := style.pruneMode()
+	if err != nil {
+		return snapshot.Key{}, snapshot.WriteOptions{}, err
+	}
+	spec.SliceCap = cfg.SliceCap
+	return snapshot.Key{Spec: spec, Prune: mode, Quant: cfg.params(), Geom: cfg.geometry(), Seed: cfg.Seed},
+		snapshot.WriteOptions{MaxWindows: cfg.MaxWindows, IndexBits: cfg.indexWidth(spec)}, nil
+}
+
+// fromSnapshotKey recovers the spec, prune style and build point a
+// snapshot Key was made from (run-scoped fields at their defaults).
+func fromSnapshotKey(k snapshot.Key) (workload.Spec, PruneStyle, Config, error) {
+	style := slices.IndexFunc(PruneStyles(), func(st PruneStyle) bool {
+		m, _ := st.pruneMode()
+		return m == k.Prune
+	})
+	if style < 0 {
+		return workload.Spec{}, 0, Config{}, fmt.Errorf("sre: snapshot has unknown prune mode %d", int(k.Prune))
+	}
+	cfg := DefaultConfig()
+	cfg.CrossbarSize = k.Geom.XbarRows
+	cfg.OUHeight, cfg.OUWidth = k.Geom.SWL, k.Geom.SBL
+	cfg.WeightBits, cfg.ActivationBits = k.Quant.WBits, k.Quant.ABits
+	cfg.CellBits, cfg.DACBits = k.Quant.CellBits, k.Quant.DACBits
+	cfg.Seed = k.Seed
+	cfg.SliceCap = k.Spec.SliceCap
+	if cfg.geometry() != k.Geom || cfg.params() != k.Quant {
+		return workload.Spec{}, 0, Config{}, fmt.Errorf("sre: snapshot has a design point Config cannot represent (%+v)", k.Geom)
+	}
+	return k.Spec, PruneStyles()[style], cfg, nil
 }
 
 // pruneMode maps the public style to the workload's, erroring on
@@ -645,20 +702,6 @@ func (s PruneStyle) pruneMode() (workload.PruneMode, error) {
 		return workload.NoPrune, nil
 	}
 	return 0, fmt.Errorf("sre: unknown prune style %d", int(s))
-}
-
-// pruneStyleFor is pruneMode's inverse, mapping a snapshot's persisted
-// workload mode back to the public style.
-func pruneStyleFor(m workload.PruneMode) (PruneStyle, error) {
-	switch m {
-	case workload.SSL:
-		return SSL, nil
-	case workload.GSL:
-		return GSL, nil
-	case workload.NoPrune:
-		return Dense, nil
-	}
-	return 0, fmt.Errorf("sre: snapshot has unknown prune mode %d", int(m))
 }
 
 // Named snapshot-decoding failures, re-exported so OpenSnapshot
@@ -685,54 +728,35 @@ var (
 // network's effective MaxWindows and index width; other run configs
 // still load fine and re-derive lazily.
 func (n *Network) WriteTo(w io.Writer) (int64, error) {
-	mode, err := n.style.pruneMode()
+	k, wopts, err := snapshotKey(n.spec, n.style, n.cfg)
 	if err != nil {
 		return 0, err
 	}
-	k := snapshot.Key{Spec: n.spec, Prune: mode, Quant: n.cfg.params(),
-		Geom: n.cfg.geometry(), Seed: n.cfg.Seed}
-	return snapshot.Write(w, k, n.built,
-		snapshot.WriteOptions{MaxWindows: n.cfg.MaxWindows, IndexBits: n.indexBits()})
+	return snapshot.Write(w, k, n.built, wopts)
 }
 
 // OpenSnapshot loads a network from a snapshot file in one read,
 // skipping the build entirely. The snapshot pins the build point
-// (geometry, precision, seed, prune style); options may adjust
-// run-scoped knobs (WithWorkers, WithMaxWindows, WithIndexBits,
-// WithProgress, …), and any option that would change the build point
-// is rejected, exactly as run options are. Decoding failures return
-// the named errors ErrSnapshotCorrupt, ErrSnapshotVersion, and
-// ErrSnapshotHash — a bad snapshot never silently falls back to a
-// rebuild.
+// (Config.BuildPoint) and prune style; options may adjust run-scoped
+// knobs (WithWorkers, WithMaxWindows, WithIndexBits, WithProgress, …),
+// and any option that would change what was built is rejected,
+// exactly as run options are. Decoding failures return the named
+// errors ErrSnapshotCorrupt, ErrSnapshotVersion, and ErrSnapshotHash —
+// a bad snapshot never silently falls back to a rebuild.
 func OpenSnapshot(path string, opts ...Option) (*Network, error) {
 	k, built, err := snapshot.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	style, err := pruneStyleFor(k.Prune)
+	spec, style, cfg, err := fromSnapshotKey(k)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	s, err := settings{cfg: cfg, style: style}.rebase(opts)
 	if err != nil {
 		return nil, err
 	}
-	cfg := DefaultConfig()
-	cfg.CrossbarSize = k.Geom.XbarRows
-	cfg.OUHeight, cfg.OUWidth = k.Geom.SWL, k.Geom.SBL
-	cfg.WeightBits, cfg.ActivationBits = k.Quant.WBits, k.Quant.ABits
-	cfg.CellBits, cfg.DACBits = k.Quant.CellBits, k.Quant.DACBits
-	cfg.Seed = k.Seed
-	cfg.SliceCap = k.Spec.SliceCap
-	if cfg.geometry() != k.Geom || cfg.params() != k.Quant {
-		return nil, fmt.Errorf("sre: snapshot %s has a design point Config cannot represent (%+v)", path, k.Geom)
-	}
-	s := settings{cfg: cfg, style: style}.apply(opts)
-	if err := s.cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if s.cfg.geometry() != k.Geom || s.cfg.params() != k.Quant ||
-		s.cfg.Seed != k.Seed || s.style != style || s.cfg.SliceCap != k.Spec.SliceCap {
-		return nil, fmt.Errorf(
-			"sre: option would change the snapshot's build point (geometry, precision, seed, or prune style); rebuild with Load/Build instead")
-	}
-	return &Network{name: k.Spec.Name, spec: k.Spec, built: built, cfg: s.cfg,
+	return &Network{name: spec.Name, spec: spec, built: built, cfg: s.cfg,
 		style: style, progress: s.progress, fromSnapshot: true}, nil
 }
 
@@ -774,14 +798,13 @@ func (n *Network) SizeBytes() int64 {
 // LayerCount returns the number of matrix (crossbar-mapped) layers.
 func (n *Network) LayerCount() int { return len(n.built.Layers) }
 
-// indexBits resolves the effective index width of the build config.
-func (n *Network) indexBits() int { return n.indexBitsFor(n.cfg) }
-
-func (n *Network) indexBitsFor(cfg Config) int {
-	if cfg.IndexBits > 0 {
-		return cfg.IndexBits
+// indexWidth resolves c's effective input-index width for spec: its
+// IndexBits, or the spec's Table 2 width when that is 0.
+func (c Config) indexWidth(spec workload.Spec) int {
+	if c.IndexBits > 0 {
+		return c.IndexBits
 	}
-	return n.spec.IndexBits
+	return spec.IndexBits
 }
 
 // Run simulates the network under the given mode on this network's
@@ -793,31 +816,15 @@ func (n *Network) Run(mode Mode) (Result, error) {
 // RunContext simulates the network under the given mode, sharding the
 // simulation over the worker pool. Per-run options may adjust
 // run-scoped knobs (WithWorkers, WithMaxWindows, WithProgress);
-// options that would change the built network (geometry, precision,
-// seed, prune style) are rejected. The simulation stops early and
-// returns ctx.Err when the context is cancelled.
+// options that would change the built network (its Config.BuildPoint,
+// prune style, or sparsity) are rejected. The simulation stops early
+// and returns ctx.Err when the context is cancelled.
 func (n *Network) RunContext(ctx context.Context, mode Mode, opts ...Option) (Result, error) {
 	grid, err := n.RunBatchContext(ctx, []Mode{mode}, []ActivationSet{{}}, opts...)
 	if err != nil {
 		return Result{}, err
 	}
 	return grid[0][0], nil
-}
-
-// runSettings resolves per-run options against the build-time config,
-// rejecting any change that would invalidate the built structures and
-// any value Config.Validate refuses.
-func (n *Network) runSettings(opts []Option) (settings, error) {
-	s := settings{cfg: n.cfg, style: n.style, progress: n.progress}.apply(opts)
-	if s.cfg.geometry() != n.cfg.geometry() || s.cfg.params() != n.cfg.params() ||
-		s.cfg.Seed != n.cfg.Seed || s.style != n.style {
-		return settings{}, fmt.Errorf(
-			"sre: run option would change the built network (geometry, precision, seed, or prune style); pass it to Load/Build instead")
-	}
-	if err := s.cfg.Validate(); err != nil {
-		return settings{}, err
-	}
-	return s, nil
 }
 
 // RunAll simulates every mode concurrently and returns results in
@@ -886,7 +893,7 @@ func (n *Network) RunBatchContext(ctx context.Context, modes []Mode, sets []Acti
 		}
 		cms[i] = cm
 	}
-	s, err := n.runSettings(opts)
+	s, err := settings{cfg: n.cfg, style: n.style, progress: n.progress}.rebase(opts)
 	if err != nil {
 		return nil, err
 	}
@@ -901,7 +908,7 @@ func (n *Network) RunBatchContext(ctx context.Context, modes []Mode, sets []Acti
 			batch[j].Sources = n.spec.VariantSources(layers, a.ActSeed)
 		}
 	}
-	indexBits := n.indexBitsFor(s.cfg)
+	indexBits := s.cfg.indexWidth(n.spec)
 	cfg := core.Config{
 		Geometry:   n.cfg.geometry(),
 		Quant:      n.cfg.params(),
@@ -1071,7 +1078,7 @@ func (n *Network) CompressionRatio(mode Mode) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	fp, err := core.FootprintOf(layers, cm.Scheme, n.indexBits())
+	fp, err := core.FootprintOf(layers, cm.Scheme, n.cfg.indexWidth(n.spec))
 	return fp.Ratio(), err
 }
 

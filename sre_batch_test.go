@@ -33,7 +33,7 @@ func separateSweep(t *testing.T, net *Network, mode Mode, actSeed uint64, worker
 		Geometry:   net.cfg.geometry(),
 		Quant:      net.cfg.params(),
 		Mode:       cm,
-		IndexBits:  net.indexBits(),
+		IndexBits:  net.cfg.indexWidth(net.spec),
 		MaxWindows: net.cfg.MaxWindows,
 		Workers:    workers,
 		Energy:     energy.Default(),

@@ -128,6 +128,8 @@ func TestRunRejectsBuildScopedOptions(t *testing.T) {
 		"WithCellBits": WithCellBits(4),
 		"WithSeed":     WithSeed(99),
 		"WithPrune":    WithPrune(GSL),
+		"WithSliceCap": WithSliceCap(2),
+		"WithSparsity": WithSparsity(0.9, 0.9),
 	} {
 		if _, err := net.RunContext(ctx, Baseline, opt); err == nil {
 			t.Errorf("%s accepted at run time", name)

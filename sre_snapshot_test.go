@@ -150,6 +150,7 @@ func TestOpenSnapshotOptionBoundary(t *testing.T) {
 		"cellbits": WithCellBits(4),
 		"prune":    WithPrune(GSL),
 		"slicecap": WithSliceCap(2),
+		"sparsity": WithSparsity(0.9, 0.9),
 	} {
 		if _, err := OpenSnapshot(path, opt); err == nil {
 			t.Fatalf("build-scoped option %q accepted", name)
@@ -216,47 +217,6 @@ func TestBuildInputShapeValidation(t *testing.T) {
 		}
 		if !errors.Is(err, ErrInvalidShape) {
 			t.Fatalf("%s (%v): got %v, want errors.Is(ErrInvalidShape)", tc.name, tc.shape, err)
-		}
-	}
-}
-
-// benchColdNet picks the paper's largest network for the cold-start
-// contrast the snapshot format exists for.
-const benchColdNet = "VGG-16"
-
-// BenchmarkColdStartBuild measures Load's full build path — workload
-// synthesis plus compression structures — for VGG-16.
-func BenchmarkColdStartBuild(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := Load(benchColdNet); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkColdStartOpenSnapshot measures the same cold start through
-// a snapshot file: one read plus zero-copy decoding.
-func BenchmarkColdStartOpenSnapshot(b *testing.B) {
-	net, err := Load(benchColdNet)
-	if err != nil {
-		b.Fatal(err)
-	}
-	dir := b.TempDir()
-	path := filepath.Join(dir, "vgg16.sresnap")
-	f, err := os.Create(path)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := net.WriteTo(f); err != nil {
-		b.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := OpenSnapshot(path); err != nil {
-			b.Fatal(err)
 		}
 	}
 }
