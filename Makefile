@@ -33,12 +33,16 @@ BENCH_COUNT ?= 1
 BENCH_PATTERN = BenchmarkSimulateLayer|BenchmarkBatchedSweep
 BENCH_PATTERN_BITSET = BenchmarkCountWords|BenchmarkCountAndPlanes|BenchmarkBuildSliceMasks
 
-.PHONY: all build vet test race bench-smoke smoke verify bench bench-rebaseline bench-quick bench-compare bench-load bench-cluster experiments snapshot-roundtrip results profile clean
+.PHONY: all build fmt vet test race bench-smoke smoke verify bench bench-rebaseline bench-quick bench-compare bench-load bench-cluster experiments snapshot-roundtrip results profile clean
 
 all: verify
 
 build:
 	$(GO) build ./...
+
+# fmt fails when a Go file is not gofmt-clean and lists the offenders.
+fmt:
+	@files="$$(gofmt -l .)"; test -z "$$files" || { echo "gofmt -l found unformatted files:" >&2; echo "$$files" >&2; exit 1; }
 
 vet:
 	$(GO) vet ./...
@@ -54,9 +58,9 @@ race:
 bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 
-# verify = tier-1 (build + test) plus vet, the race detector, and the
-# benchmark smoke run.
-verify: vet build race bench-smoke
+# verify = tier-1 (build + test) plus the gofmt gate, vet, the race
+# detector, and the benchmark smoke run.
+verify: fmt vet build race bench-smoke
 
 # smoke boots the sreserved daemon for real: health check, a simulate
 # round-trip plus its cached repeat (bit-identical, no second sweep), a

@@ -18,8 +18,8 @@ import (
 	"sre/internal/xrand"
 )
 
-// benchActs is a read-only window source; sharing it across phase-1
-// workers is safe, so no SourceCloner is needed.
+// benchActs is a read-only window source, so concurrent WindowCodes
+// calls are safe.
 type benchActs struct{ rows [][]uint32 }
 
 func (s *benchActs) Windows() int { return len(s.rows) }

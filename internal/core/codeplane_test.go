@@ -198,11 +198,11 @@ func TestCodePlaneSizeBound(t *testing.T) {
 	}
 }
 
-// TestTensorSourceCloneWindowCodes is the clone-correctness check for
-// the traced-activation adapter: clones reading windows in interleaved
-// and reversed orders must reproduce exactly the codes the parent
-// produces in forward order, because each clone owns its im2col scratch
-// while sharing the read-only tensor.
+// TestTensorSourceCloneWindowCodes is the read-order check for the
+// traced-activation adapter: two readers of one source taking windows in
+// interleaved and reversed orders must reproduce exactly the codes it
+// produces in forward order, because each call gathers into its own
+// im2col buffer while sharing the read-only tensor.
 func TestTensorSourceCloneWindowCodes(t *testing.T) {
 	x := tensor.New(3, 6, 6)
 	for i := range x.Data() {
@@ -216,10 +216,9 @@ func TestTensorSourceCloneWindowCodes(t *testing.T) {
 		want[w] = make([]uint32, rows)
 		src.WindowCodes(w, want[w])
 	}
-	a := src.CloneSource()
-	b := src.CloneSource()
+	a, b := src, src
 	got := make([]uint32, rows)
-	// Interleave two clones over opposite orders; any shared scratch
+	// Interleave two readers over opposite orders; any shared scratch
 	// would cross-contaminate the gathers.
 	for w := 0; w < windows; w++ {
 		a.WindowCodes(w, got)
@@ -238,9 +237,9 @@ func TestTensorSourceCloneWindowCodes(t *testing.T) {
 	}
 }
 
-// TestTensorSourceConcurrentClones hammers distinct clones of one
-// TensorSource from parallel goroutines; under -race this proves the
-// clone contract (shared tensor read-only, scratch private).
+// TestTensorSourceConcurrentClones hammers one TensorSource from
+// parallel goroutines; under -race this proves the ActivationSource
+// concurrency contract (shared tensor read-only, scratch per call).
 func TestTensorSourceConcurrentClones(t *testing.T) {
 	x := tensor.New(2, 8, 8)
 	for i := range x.Data() {
@@ -259,7 +258,7 @@ func TestTensorSourceConcurrentClones(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			clone := src.CloneSource()
+			clone := src
 			got := make([]uint32, rows)
 			for rep := 0; rep < 3; rep++ {
 				for w := 0; w < windows; w++ {

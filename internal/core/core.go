@@ -25,20 +25,17 @@
 // per-tile cycle and energy sums over the sampled windows scale by
 // windows/sampled before the cross-tile maximum is taken.
 //
-// There is one layer engine, and it is batched: it simulates a layer
-// once per activation input (BatchInput) over the flattened
-// (input, window) space, sharing plans, planes and scratch across the
-// inputs. A single-input run — SimulateNetworkContext,
-// SimulateLayerContext — is a batch of one. The engine is parallel by
-// default: window batch-work, per-tile pipeline schedules, and
-// independent layers are sharded over a shared worker pool
-// (internal/parallel, Config.Workers/Config.Pool). All cross-shard
-// state is written to disjoint, pre-sized slots and the final
-// reduction runs serially in a fixed order, so results are
-// bit-identical to a single-worker run at any pool width, and every
-// batch input's result is bit-identical to a run of that input alone.
-// Every run is cancellable through its context and reports per-layer
-// progress (Config.Progress).
+// The layer engine simulates one activation input: a layer's own
+// source, read through its cached code plane when it has one. Callers
+// that sweep several activation sets run the engine once per set (see
+// sre.Network.RunBatchContext). The engine is parallel by default:
+// window batch-work, per-tile pipeline schedules, and independent
+// layers are sharded over a shared worker pool (internal/parallel,
+// Config.Workers/Config.Pool). All cross-shard state is written to
+// disjoint, pre-sized slots and the final reduction runs serially in a
+// fixed order, so results are bit-identical to a single-worker run at
+// any pool width. Every run is cancellable through its context and
+// reports per-layer progress (Config.Progress).
 package core
 
 import (
@@ -58,7 +55,6 @@ import (
 	"sre/internal/pipeline"
 	"sre/internal/quant"
 	"sre/internal/reram"
-	"sre/internal/tensor"
 )
 
 // Mode names a sparsity-exploitation configuration from the paper's
@@ -140,8 +136,8 @@ type Config struct {
 	// inner loop through the pre-kernel scalar implementation (per-call
 	// plan rebuilds, per-group bitset intersections). It is read at one
 	// dispatch point: the plan switch in simulateLayer, which picks the
-	// tile plans and the phase-1 body together. Code planes, scratch,
-	// sharding and batching are the shared engine's. It exists as the
+	// tile plans and the phase-1 body together. Code planes, scratch
+	// and sharding are the shared engine's. It exists as the
 	// golden reference the word-plane kernel path is proven
 	// bit-identical against, and as the before/after benchmark baseline
 	// — never as a production configuration.
@@ -154,7 +150,7 @@ type ProgressEvent struct {
 	Index int         // layer index in the input slice
 	Count int         // total layers in the simulation
 	Done  int         // layers completed so far, including this one
-	Layer LayerResult // the layer's result for the first batch input
+	Layer LayerResult // the layer's result
 }
 
 // pool resolves the worker pool a simulation draws from, switching on
@@ -268,86 +264,9 @@ type ActivationSource interface {
 	// Windows returns how many sliding windows the layer processes.
 	Windows() int
 	// WindowCodes fills dst (length = layer rows) with window w's
-	// quantized activation codes.
+	// quantized activation codes. It must be safe for concurrent calls:
+	// phase 1 reads windows from several workers at once.
 	WindowCodes(w int, dst []uint32)
-}
-
-// SourceCloner is implemented by ActivationSources that can hand each
-// parallel worker an independent view of the same activations (sharing
-// read-only data, duplicating scratch state). Sources that do not
-// implement it are read by a single worker at a time.
-type SourceCloner interface {
-	CloneSource() ActivationSource
-}
-
-// cloneSource returns a worker-private view of src, or src itself when
-// it does not support cloning.
-func cloneSource(src ActivationSource) ActivationSource {
-	if c, ok := src.(SourceCloner); ok {
-		return c.CloneSource()
-	}
-	return src
-}
-
-// TensorSource adapts a real traced activation tensor (CHW) to an
-// ActivationSource via im2col, quantizing with a single per-layer scale.
-type TensorSource struct {
-	X              *tensor.Tensor
-	K, Stride, Pad int
-	ABits          int
-	scale          float64
-	wout, hout     int
-	buf            []float32
-}
-
-// NewTensorSource builds a source for a conv layer's traced input. For
-// FC layers pass K=0 (the whole tensor is the single window).
-func NewTensorSource(x *tensor.Tensor, k, stride, pad, abits int) *TensorSource {
-	ts := &TensorSource{X: x, K: k, Stride: stride, Pad: pad, ABits: abits}
-	ts.scale = quant.ScaleFor(float64(x.MaxAbs()), abits)
-	if k > 0 {
-		ts.hout = tensor.ConvOutputDim(x.Dim(1), k, stride, pad)
-		ts.wout = tensor.ConvOutputDim(x.Dim(2), k, stride, pad)
-		ts.buf = make([]float32, x.Dim(0)*k*k)
-	}
-	return ts
-}
-
-// CloneSource implements SourceCloner: the clone shares the (read-only)
-// tensor but owns its im2col scratch buffer.
-func (ts *TensorSource) CloneSource() ActivationSource {
-	c := *ts
-	if ts.buf != nil {
-		c.buf = make([]float32, len(ts.buf))
-	}
-	return &c
-}
-
-func (ts *TensorSource) Windows() int {
-	if ts.K == 0 {
-		return 1
-	}
-	return ts.hout * ts.wout
-}
-
-func (ts *TensorSource) WindowCodes(w int, dst []uint32) {
-	var vals []float32
-	if ts.K == 0 {
-		vals = ts.X.Data()
-	} else {
-		oy, ox := w/ts.wout, w%ts.wout
-		tensor.Im2ColWindow(ts.X, ts.K, ts.Stride, ts.Pad, oy, ox, ts.buf)
-		vals = ts.buf
-	}
-	if len(dst) != len(vals) {
-		panic(fmt.Sprintf("core: window codes length %d, layer rows %d", len(vals), len(dst)))
-	}
-	for i, v := range vals {
-		if v < 0 {
-			v = -v
-		}
-		dst[i] = quant.QuantizeUnsigned(float64(v), ts.ABits, ts.scale)
-	}
 }
 
 // Layer pairs one layer's compression structure with its activations.
@@ -444,98 +363,46 @@ func (r NetworkResult) TotalOUEvents() int64 {
 	return n
 }
 
-// BatchInput is one activation assignment of a network simulation.
-// Sources[i], when non-nil, replaces layer i's activation source; a nil
-// element — or a nil Sources slice — keeps the layer's own Acts.
-// Substituted sources bypass the layer's code/mask plane caches (those
-// hold the layer's own activations), so they are read per window
-// exactly as an uncached run would read them.
-type BatchInput struct {
-	Sources []ActivationSource
-}
-
-// SimulateNetworkContext runs every layer once over the layers' own
-// activations: a batch of one input.
-func SimulateNetworkContext(ctx context.Context, layers []Layer, cfg Config) (NetworkResult, error) {
-	out, err := SimulateNetworkBatchContext(ctx, layers, cfg, []BatchInput{{}})
-	if err != nil {
-		return NetworkResult{}, err
-	}
-	return out[0], nil
-}
-
-// SimulateNetworkBatchContext runs every layer once per batch input,
-// overlapping independent layers on the worker pool, and returns one
-// NetworkResult per input, in batch order. The modelled hardware still
+// SimulateNetworkContext runs every layer once, overlapping
+// independent layers on the worker pool. The modelled hardware still
 // executes layers sequentially — overlap only accelerates the
 // simulation itself, and the fixed-order reduction keeps results
-// bit-identical to a single-worker run. Result j is bit-identical to a
-// one-input run over layers with input j's sources substituted: static
-// (non-DOF) modes never read activation values, so the whole batch
-// costs one simulation plus replication, and DOF modes share plans,
-// planes and scratch across inputs. cfg.Progress fires once per layer,
-// reporting the first input's result. Returns ctx.Err if the context
+// bit-identical to a single-worker run. Returns ctx.Err if the context
 // is cancelled before the simulation completes, or the first
 // (lowest-index) layer's configuration error otherwise.
-func SimulateNetworkBatchContext(ctx context.Context, layers []Layer, cfg Config, batch []BatchInput) ([]NetworkResult, error) {
-	if len(batch) == 0 {
-		return nil, fmt.Errorf("core: SimulateNetworkBatchContext needs at least one batch input")
-	}
-	for j := range batch {
-		if batch[j].Sources != nil && len(batch[j].Sources) != len(layers) {
-			return nil, fmt.Errorf("core: batch input %d has %d sources, network has %d layers",
-				j, len(batch[j].Sources), len(layers))
-		}
-	}
-	n := len(batch)
+func SimulateNetworkContext(ctx context.Context, layers []Layer, cfg Config) (NetworkResult, error) {
 	pool := cfg.pool()
-	results := make([]LayerResult, len(layers)*n) // [layer*n + input]
+	results := make([]LayerResult, len(layers))
 	layerErrs := make([]error, len(layers))
 	var progressMu sync.Mutex
 	done := 0
 	err := pool.For(ctx, len(layers), func(start, end int) {
-		srcs := make([]ActivationSource, n)
 		for i := start; i < end; i++ {
-			for j := range batch {
-				srcs[j] = nil
-				if batch[j].Sources != nil {
-					srcs[j] = batch[j].Sources[i]
-				}
-			}
-			lrs := results[i*n : (i+1)*n]
-			if err := simulateLayer(ctx, layers[i], cfg, pool, srcs, lrs); err != nil {
+			lr, err := simulateLayer(ctx, layers[i], cfg, pool)
+			if err != nil {
 				layerErrs[i] = err
 				return
 			}
-			for j := range lrs {
-				lrs[j].Energy.Interconnect = cfg.NoC.LayerHandoffEnergy(layers[i].OutputBits)
-			}
+			lr.Energy.Interconnect = cfg.NoC.LayerHandoffEnergy(layers[i].OutputBits)
+			results[i] = lr
 			if cfg.Progress != nil {
 				progressMu.Lock()
 				done++
-				cfg.Progress(ProgressEvent{Index: i, Count: len(layers), Done: done, Layer: lrs[0]})
+				cfg.Progress(ProgressEvent{Index: i, Count: len(layers), Done: done, Layer: lr})
 				progressMu.Unlock()
 			}
 		}
 	})
 	if err != nil {
-		return nil, err
+		return NetworkResult{}, err
 	}
 	for i, lerr := range layerErrs {
 		if lerr != nil {
-			return nil, fmt.Errorf("layer %d (%s): %w", i, layers[i].Name, lerr)
+			return NetworkResult{}, fmt.Errorf("layer %d (%s): %w", i, layers[i].Name, lerr)
 		}
 	}
 	publishPoolMetrics(cfg.Metrics, pool)
-	out := make([]NetworkResult, n)
-	perLayer := make([]LayerResult, len(layers))
-	for j := range out {
-		for i := range layers {
-			perLayer[i] = results[i*n+j]
-		}
-		out[j] = reduceNetwork(layers, perLayer)
-	}
-	return out, nil
+	return reduceNetwork(layers, results), nil
 }
 
 // reduceNetwork folds per-layer results into the network total: layers
@@ -568,14 +435,10 @@ func reduceNetwork(layers []Layer, results []LayerResult) NetworkResult {
 	return out
 }
 
-// SimulateLayerContext runs one layer under cfg over its own
-// activations, sharding its window and tile loops over the worker pool.
+// SimulateLayerContext runs one layer under cfg, sharding its window
+// and tile loops over the worker pool.
 func SimulateLayerContext(ctx context.Context, l Layer, cfg Config) (LayerResult, error) {
-	var out [1]LayerResult
-	if err := simulateLayer(ctx, l, cfg, cfg.pool(), []ActivationSource{nil}, out[:]); err != nil {
-		return LayerResult{}, err
-	}
-	return out[0], nil
+	return simulateLayer(ctx, l, cfg, cfg.pool())
 }
 
 // tilePlan is one (rb, cb) tile's per-run execution state: static
@@ -620,56 +483,36 @@ func validateModeLayer(l Layer, cfg Config) error {
 	return nil
 }
 
-// simulateLayer is the layer engine. It simulates l once per
-// activation source (sources[j] nil means the layer's own Acts) and
-// writes input j's result to out[j]. A single-input run is a batch of
-// one. The engine runs in three phases so that parallel execution stays
+// simulateLayer is the layer engine. It simulates l over its own
+// activations in three phases so that parallel execution stays
 // bit-identical to serial:
 //
 //  1. per-window batch work — OU slots and driven wordlines per tile —
-//     computed by workers over disjoint shards of the flattened
-//     (input, window) space (pure functions of the window, written to
-//     disjoint slots);
-//  2. per-(input, tile) pipeline schedules — each tracker consumes its
-//     input's batches in window order, workers over disjoint tile
-//     shards;
-//  3. per input, a serial reduction over tiles in fixed (row, column)
-//     order, the same float-accumulation order as the serial simulator.
+//     computed by workers over disjoint window chunks (pure functions
+//     of the window, written to disjoint slots);
+//  2. per-tile pipeline schedules — each tracker consumes the batches
+//     in window order, workers over disjoint tile shards;
+//  3. a serial reduction over tiles in fixed (row, column) order, the
+//     same float-accumulation order as the serial simulator.
 //
-// Every input therefore sees exactly the arithmetic of a run of that
-// input alone. Configuration problems (invalid quantization, a
-// structure built for a different geometry, OCC misuse) are reported as
-// errors, not panics, so sweep servers survive a bad request.
-func simulateLayer(ctx context.Context, l Layer, cfg Config, pool *parallel.Pool,
-	sources []ActivationSource, out []LayerResult) error {
-	windows := l.Acts.Windows()
-	uniform := true // every input agrees on the window count
-	for j, src := range sources {
-		if src == nil {
-			sources[j] = l.Acts
-		} else if src.Windows() != windows {
-			uniform = false
-		}
-	}
-	single := len(sources) == 1 && sources[0] == l.Acts
-	if !single && (!cfg.Mode.DOF || !uniform) {
-		return simulateEach(ctx, l, cfg, pool, sources, out)
-	}
-
+// Configuration problems (invalid quantization, a structure built for a
+// different geometry, OCC misuse) are reported as errors, not panics,
+// so sweep servers survive a bad request.
+func simulateLayer(ctx context.Context, l Layer, cfg Config, pool *parallel.Pool) (LayerResult, error) {
 	if err := cfg.Quant.Validate(); err != nil {
-		return err
+		return LayerResult{}, err
 	}
 	lay := l.Struct.Layout
 	g := cfg.Geometry
 	if lay.SWL != g.SWL || lay.SBL != g.SBL || lay.XbarRows != g.XbarRows {
-		return fmt.Errorf(
+		return LayerResult{}, fmt.Errorf(
 			"core: layer %q: structure was built with a different geometry (layout %d/%d/%d, config %d/%d/%d)",
 			l.Name, lay.XbarRows, lay.SWL, lay.SBL, g.XbarRows, g.SWL, g.SBL)
 	}
 	if err := validateModeLayer(l, cfg); err != nil {
-		return err
+		return LayerResult{}, err
 	}
-	n := len(sources)
+	windows := l.Acts.Windows()
 	sampled := SampledWindows(windows, cfg.MaxWindows)
 	spi := cfg.Quant.SlicesPerInput()
 	nTiles := lay.RowBlocks * lay.ColBlocks
@@ -679,8 +522,7 @@ func simulateLayer(ctx context.Context, l Layer, cfg Config, pool *parallel.Pool
 	// phase-3 writes race-free without locks.
 	msh := cfg.Metrics.Shard()
 
-	// Resolve the layer's shared window-code plane; it serves the inputs
-	// bound to the layer's own source. Every mode performs the lookup —
+	// Resolve the layer's shared window-code plane. Every mode performs the lookup —
 	// not just the DOF modes that read the codes — so the cache's
 	// hit/miss algebra is deterministic for a fixed workload: misses ==
 	// builds == distinct sampled counts, hits == lookups − builds,
@@ -735,72 +577,41 @@ func simulateLayer(ctx context.Context, l Layer, cfg Config, pool *parallel.Pool
 		plans, err = kernelTilePlans(ctx, l, cfg, ls, msh)
 	}
 	if err != nil {
-		return err
+		return LayerResult{}, err
 	}
 
-	// Phase 1: per-window batch work over the flattened (input, window)
-	// space. Only DOF modes inspect the activations; for the static
-	// modes every window issues the same per-tile batch, so the phase is
-	// skipped entirely.
-	var work []batchWork // indexed [(input*sampled + window)*nTiles + rb*ColBlocks + cb]
+	// Phase 1: per-window batch work. Only DOF modes inspect the
+	// activations; for the static modes every window issues the same
+	// per-tile batch, so the phase is skipped entirely.
+	var work []batchWork // indexed [window*nTiles + rb*ColBlocks + cb]
 	if cfg.Mode.DOF {
-		// Resolve the derived slice-mask plane (maskplane.go): when the
-		// code plane is cached, the per-window BuildSliceMasks sweep and
-		// its popcounts are shared across DOF modes and repeated runs
-		// the same way. nil (size bound, no code plane) falls back to
-		// per-window mask building.
-		var mp *maskPlane
+		acts := phase1Acts{plane: plane, src: l.Acts, sampled: sampled, windows: windows}
 		if plane != nil {
-			mp = l.Codes.maskPlane(plane, lay, sampled, cfg.Quant.DACBits, spi, maskCacheMetrics{
+			// The derived slice-mask plane (maskplane.go) shares the
+			// per-window BuildSliceMasks sweep and its popcounts across
+			// DOF modes and repeated runs the same way.
+			acts.mp = l.Codes.maskPlane(plane, lay, sampled, cfg.Quant.DACBits, spi, maskCacheMetrics{
 				hits:   msh.Counter("sre_core_mask_cache_hits_total"),
 				misses: msh.Counter("sre_core_mask_cache_misses_total"),
 				builds: msh.Counter("sre_core_mask_cache_builds_total"),
 				bytes:  msh.Counter("sre_core_mask_cache_bytes_total"),
 			})
 		}
-		inputs := make([]p1Input, n)
-		cached := true   // every input reads a materialized code plane
-		clonable := true // every source-reading input can clone per worker
-		for j, src := range sources {
-			inputs[j] = p1Input{acts: src}
-			if src == l.Acts {
-				inputs[j].plane, inputs[j].mp = plane, mp
-			}
-			if inputs[j].plane == nil {
-				cached = false
-				if _, ok := src.(SourceCloner); !ok {
-					clonable = false
-				}
-			}
-		}
-		work = ls.workSlots(n * sampled * nTiles)
-		body := phase1(ctx, l, cfg, plans, work, sampled, windows, inputs)
-		total := n * sampled
-		switch {
-		case cached:
-			// Cached codes need no source reads, so the window loop can
-			// rebalance freely: dynamic chunked sharding absorbs the skew
-			// of activation-dependent window costs. Result slots stay
-			// disjoint, so bit-identity is unaffected.
-			err = pool.ForDynamic(ctx, total, parallel.ChunkFor(total, pool.Workers()), body)
-		case clonable:
-			err = pool.For(ctx, total, body)
-		default:
-			// A source that cannot give workers private views is read
-			// from a single shard (tiles still parallelize below).
-			var serial *parallel.Pool
-			err = serial.For(ctx, total, body)
-		}
-		if err != nil {
-			return err
+		work = ls.workSlots(sampled * nTiles)
+		// Dynamic chunked sharding absorbs the skew of
+		// activation-dependent window costs; result slots stay disjoint,
+		// so bit-identity is unaffected.
+		body := phase1(ctx, l, cfg, plans, work, acts)
+		if err := pool.ForDynamic(ctx, sampled, parallel.ChunkFor(sampled, pool.Workers()), body); err != nil {
+			return LayerResult{}, err
 		}
 	}
 
-	// Phase 2: per-(input, tile) pipeline schedules, sharded over tiles.
-	// Each tracker consumes its input's batches in window order — the
-	// same order (and, for the float fetch-energy sum, the same sequence
-	// of additions) as the serial simulator.
-	accs := ls.tileAccs(n * nTiles)
+	// Phase 2: per-tile pipeline schedules, sharded over tiles. Each
+	// tracker consumes the batches in window order — the same order
+	// (and, for the float fetch-energy sum, the same sequence of
+	// additions) as the serial simulator.
+	accs := ls.tileAccs(nTiles)
 	cycleTime := cfg.CycleTime()
 	err = pool.For(ctx, nTiles, func(start, end int) {
 		for t := start; t < end; t++ {
@@ -818,68 +629,30 @@ func simulateLayer(ctx context.Context, l Layer, cfg Config, pool *parallel.Pool
 			staticOUs := tp.staticOUs * int64(spi)
 			staticWL := tp.staticWL * int64(spi)
 			fetchE := float64(tp.fetchGroups) * cfg.Energy.FetchEnergy(tp.fetchBits)
-			for j := 0; j < n; j++ {
-				acc := &accs[j*nTiles+t]
-				tracker := pipeline.Tracker{FetchCycles: fetchCycles}
-				for wi := 0; wi < sampled; wi++ {
-					batchOUs, batchWL := staticOUs, staticWL
-					if cfg.Mode.DOF {
-						bw := work[(j*sampled+wi)*nTiles+t]
-						batchOUs, batchWL = bw.ous, bw.wl
-					}
-					tracker.Batch(batchOUs)
-					acc.ouEvents += batchOUs
-					acc.drivenWL += batchWL
-					acc.fetches += int64(tp.fetchGroups)
-					acc.fetchE += fetchE
+			acc := &accs[t]
+			tracker := pipeline.Tracker{FetchCycles: fetchCycles}
+			for wi := 0; wi < sampled; wi++ {
+				batchOUs, batchWL := staticOUs, staticWL
+				if cfg.Mode.DOF {
+					bw := work[wi*nTiles+t]
+					batchOUs, batchWL = bw.ous, bw.wl
 				}
-				acc.total, acc.stalls = tracker.Finish()
+				tracker.Batch(batchOUs)
+				acc.ouEvents += batchOUs
+				acc.drivenWL += batchWL
+				acc.fetches += int64(tp.fetchGroups)
+				acc.fetchE += fetchE
 			}
+			acc.total, acc.stalls = tracker.Finish()
 		}
 	})
 	if err != nil {
-		return err
+		return LayerResult{}, err
 	}
 
-	// Phase 3: per-input serial reductions over each input's accumulator
-	// stripe, in input order — latency is the slowest tile; energy sums
-	// over tiles.
-	for j := range out {
-		out[j] = phase3Reduce(l, cfg, plans, accs[j*nTiles:(j+1)*nTiles], windows, sampled, msh)
-	}
-	return nil
-}
-
-// simulateEach runs the inputs the one-pass engine does not batch.
-// Static modes read the activations only through Windows(), so one run
-// over the layer's own source serves every input that agrees on its
-// window count. The rest — DOF inputs that disagree on the window count
-// (so the flattened (input, window) space would not be rectangular) —
-// run one input at a time, the semantics the batched pass is proven
-// against.
-func simulateEach(ctx context.Context, l Layer, cfg Config, pool *parallel.Pool,
-	sources []ActivationSource, out []LayerResult) error {
-	windows := l.Acts.Windows()
-	var base [1]LayerResult
-	if !cfg.Mode.DOF {
-		if err := simulateLayer(ctx, l, cfg, pool, []ActivationSource{nil}, base[:]); err != nil {
-			return err
-		}
-	}
-	for j, src := range sources {
-		if !cfg.Mode.DOF && src.Windows() == windows {
-			out[j] = base[0]
-			continue
-		}
-		lj := l
-		if src != l.Acts {
-			lj.Acts, lj.Codes = src, nil
-		}
-		if err := simulateLayer(ctx, lj, cfg, pool, []ActivationSource{nil}, out[j:j+1]); err != nil {
-			return err
-		}
-	}
-	return nil
+	// Phase 3: the serial reduction — latency is the slowest tile;
+	// energy sums over tiles.
+	return phase3Reduce(l, cfg, plans, accs, windows, sampled, msh), nil
 }
 
 // kernelTilePlans resolves the memoized word-plane tile plans of a
@@ -920,12 +693,10 @@ func kernelTilePlans(ctx context.Context, l Layer, cfg Config, ls *layerScratch,
 	return plans, nil
 }
 
-// phase3Reduce is the layer engine's serial phase-3 reduction over one
-// input's tile accumulators, in fixed (row, column) tile order — the
-// same float-accumulation order as the serial simulator. Latency is
-// the slowest tile's scaled schedule; energy sums over tiles. A batched
-// layer reduces each input's accumulator stripe independently, in input
-// order, so every input sees exactly the single-run order.
+// phase3Reduce is the layer engine's serial phase-3 reduction over the
+// tile accumulators, in fixed (row, column) tile order — the same
+// float-accumulation order as the serial simulator. Latency is the
+// slowest tile's scaled schedule; energy sums over tiles.
 func phase3Reduce(l Layer, cfg Config, plans [][]tilePlan, accs []tileAcc, windows, sampled int, msh *metrics.Shard) LayerResult {
 	lay := l.Struct.Layout
 	g := cfg.Geometry
@@ -989,58 +760,40 @@ func phase3Reduce(l Layer, cfg Config, plans [][]tilePlan, accs []tileAcc, windo
 	return res
 }
 
-// p1Input is one activation input's phase-1 view. Exactly one of the
-// derivation tiers is used per window: the cached slice-mask plane
-// (mp), the cached code plane (plane), or a per-worker clone of the
-// source (acts). The engine passes one per batch input. The scalar
-// reference skips the mask tier: it derives its masks bit by bit from
-// the codes.
-type p1Input struct {
-	plane []uint32
-	mp    *maskPlane
-	acts  ActivationSource
-}
-
-// p1Reader hands one phase-1 shard the codes of each window: a slice of
-// the input's code plane, or else buf filled through a shard-private
-// clone of the input's source, re-cloned only when the shard crosses
-// into another input. Both phase-1 bodies read through it.
-type p1Reader struct {
-	inputs           []p1Input
+// phase1Acts is the layer's phase-1 view of its activations. Exactly
+// one derivation tier is used per window: the cached slice-mask plane
+// (mp), the cached code plane (plane), or the source itself (src, read
+// per window). The scalar reference skips the mask tier: it derives its
+// masks bit by bit from the codes.
+type phase1Acts struct {
+	plane            []uint32
+	mp               *maskPlane
+	src              ActivationSource
 	sampled, windows int
-	acts             ActivationSource
-	actsInput        int // the input acts clones; -1 before the first
 }
 
-func newP1Reader(inputs []p1Input, sampled, windows int) p1Reader {
-	return p1Reader{inputs: inputs, sampled: sampled, windows: windows, actsInput: -1}
-}
-
-// codes returns input ji's codes for sampled window wi.
-func (r *p1Reader) codes(ji, wi int, buf []uint32) []uint32 {
-	in := &r.inputs[ji]
-	if in.plane != nil {
-		return in.plane[wi*len(buf) : (wi+1)*len(buf)]
+// codes returns sampled window wi's codes: a slice of the code plane,
+// or else buf filled from the source. Both phase-1 bodies read through
+// it.
+func (a *phase1Acts) codes(wi int, buf []uint32) []uint32 {
+	if a.plane != nil {
+		return a.plane[wi*len(buf) : (wi+1)*len(buf)]
 	}
-	if r.actsInput != ji {
-		r.acts, r.actsInput = cloneSource(in.acts), ji
-	}
-	r.acts.WindowCodes(wi*r.windows/r.sampled, buf)
+	a.src.WindowCodes(wi*a.windows/a.sampled, buf)
 	return buf
 }
 
 // kernelPhase1 returns the word-plane phase-1 shard body over the
-// flattened (input, window) index space (idx = input·sampled+window;
-// a batch of one degenerates idx to the window index). For each window it derives all activation bit-slice masks in
-// one sweep (bitset.BuildSliceMasks) — or reads them straight from the
-// input's cached mask plane — then counts every column group's
+// sampled windows. For each window it derives all activation bit-slice
+// masks in one sweep (bitset.BuildSliceMasks) — or reads them straight
+// from the cached mask plane — then counts every column group's
 // retained-row intersection with one fused pass per slice over the
 // tile's cached word plane (bitset.CountAndPlanes). Scratch comes from
-// the phase-1 arena (checked out per shard or dynamic chunk) and every
-// result lands in a disjoint work slot, so the phase stays
-// bit-identical at any worker count.
+// the phase-1 arena (checked out per dynamic chunk) and every result
+// lands in a disjoint work slot, so the phase stays bit-identical at
+// any worker count.
 func kernelPhase1(ctx context.Context, l Layer, cfg Config, plans [][]tilePlan,
-	work []batchWork, sampled, windows int, inputs []p1Input) func(start, end int) {
+	work []batchWork, acts phase1Acts) func(start, end int) {
 	lay := l.Struct.Layout
 	g := cfg.Geometry
 	spi := cfg.Quant.SlicesPerInput()
@@ -1049,7 +802,6 @@ func kernelPhase1(ctx context.Context, l Layer, cfg Config, plans [][]tilePlan,
 	return func(start, end int) {
 		scr := getP1Scratch(lay, spi, cfg.Metrics)
 		defer scr.release()
-		rd := newP1Reader(inputs, sampled, windows)
 		masks := scr.masks
 		nonEmpty := scr.nonEmpty
 		counts := scr.counts
@@ -1062,17 +814,15 @@ func kernelPhase1(ctx context.Context, l Layer, cfg Config, plans [][]tilePlan,
 		if cfg.Metrics != nil {
 			occ = scr.shard(cfg.Metrics).Histogram(occName(cfg.Mode), occupancyBounds)
 		}
-		for idx := start; idx < end; idx++ {
+		mp := acts.mp
+		for wi := start; wi < end; wi++ {
 			if ctx.Err() != nil {
 				return
 			}
-			ji, wi := idx/sampled, idx%sampled
-			in := &inputs[ji]
-			mp := in.mp
 			if mp == nil {
 				// No cached masks: derive them from the codes (cached
 				// plane or source read) into this worker's scratch.
-				codes := rd.codes(ji, wi, scr.codes)
+				codes := acts.codes(wi, scr.codes)
 				for rb := 0; rb < lay.RowBlocks; rb++ {
 					lo := rb * g.XbarRows
 					hi := lo + lay.TileRows(rb)
@@ -1137,7 +887,7 @@ func kernelPhase1(ctx context.Context, l Layer, cfg Config, plans [][]tilePlan,
 							}
 						}
 					}
-					work[idx*nTiles+rb*lay.ColBlocks+cb] = batchWork{batchOUs, batchWL}
+					work[wi*nTiles+rb*lay.ColBlocks+cb] = batchWork{batchOUs, batchWL}
 				}
 			}
 		}

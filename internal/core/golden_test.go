@@ -12,18 +12,9 @@ import (
 	"sre/internal/xrand"
 )
 
-// cloneableSource is a sliceSource whose workers get private views, so
-// the golden test exercises the parallel phase-1 shards too.
-type cloneableSource struct{ sliceSource }
-
-func (c *cloneableSource) CloneSource() ActivationSource {
-	d := *c
-	return &d
-}
-
-// scratchSource is a non-cloneable sliceSource that stages every
-// window through one shared buffer, as TensorSource stages its im2col
-// gather: two concurrent readers race on it.
+// scratchSource is a sliceSource that stages every window through one
+// shared buffer, so it breaks the ActivationSource concurrency contract:
+// two concurrent readers race on it.
 type scratchSource struct {
 	sliceSource
 	buf []uint32
@@ -42,7 +33,8 @@ func goldenLayer(t *testing.T) Layer {
 	p := quant.Default()
 	g := mapping.Default()
 	st, _, _ := smallCase(13, 200, 20, p, g, 0.65, 0)
-	return Layer{Name: "golden", Struct: st, Acts: &cloneableSource{goldenActs(17, 9)}}
+	acts := goldenActs(17, 9)
+	return Layer{Name: "golden", Struct: st, Acts: &acts}
 }
 
 // goldenActs draws sparse 16-bit activation codes for goldenLayer's 200
@@ -93,81 +85,55 @@ func TestGoldenKernelMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestGoldenBatchMatchesScalar checks the batched engine against the
-// only oracle independent of it: each batch input's result must equal
-// a ScalarReference run of that input alone, field for field, for
-// every mode and worker count. The whole batch also runs under the
-// scalar reference, which must agree input by input. The batches cover
-// each phase-1 route: the layer's own cached source (dynamic sharding
-// over the code plane), substituted cloneable sources (static
-// sharding), a non-cloneable source (one serial shard), a source with a
-// different window count (one run per input), and a cached layer whose
-// own source is not cloneable (dynamic sharding whose shards must read
-// the code plane, never that source; -race reports a shared read).
-func TestGoldenBatchMatchesScalar(t *testing.T) {
+// TestGoldenRoutesMatchScalar checks every phase-1 route of the layer
+// engine against the only oracle independent of it: each route's layer
+// runs alone, and the kernel result must equal a ScalarReference run of
+// the same layer, field for field, for every mode and worker count. The
+// routes are the layer's own cached source (phase 1 reads the code and
+// mask planes), a substituted source with no code plane (phase 1 reads
+// the source per window), a substituted source whose window count
+// differs from the layer's, and a cached layer whose own source is not
+// safe for concurrent use (phase 1 must read the code plane, never that
+// source; -race reports a shared read).
+func TestGoldenRoutesMatchScalar(t *testing.T) {
 	ctx := context.Background()
-	cloneable := func(seed uint64) ActivationSource { return &cloneableSource{goldenActs(seed, 9)} }
-	plain := func(seed uint64, windows int) ActivationSource {
-		src := goldenActs(seed, windows)
-		return &src
+	substituted := func(seed uint64, windows int) func(*Layer) {
+		return func(l *Layer) {
+			src := goldenActs(seed, windows)
+			l.Acts, l.Codes = &src, nil
+		}
 	}
-	batches := []struct {
-		name    string
-		own     ActivationSource   // the layer's own source; nil = goldenLayer's cloneable one
-		sources []ActivationSource // nil = the layer's own source
+	routes := []struct {
+		name  string
+		setup func(*Layer)
 	}{
-		{"cached", nil, []ActivationSource{nil, nil, nil, nil}},
-		{"cloneable", nil, []ActivationSource{nil, cloneable(21), cloneable(22), cloneable(23)}},
-		{"non-cloneable", nil, []ActivationSource{nil, cloneable(31), plain(32, 9), plain(33, 9)}},
-		{"window-mismatch", nil, []ActivationSource{nil, cloneable(41), plain(42, 9), plain(43, 5)}},
-		{"cached-own-non-cloneable", &scratchSource{sliceSource: goldenActs(17, 9)}, []ActivationSource{nil, nil, nil}},
+		{"cached", func(*Layer) {}},
+		{"substituted", substituted(21, 9)},
+		{"window-mismatch", substituted(41, 5)},
+		{"cached-own-scratch", func(l *Layer) { l.Acts = &scratchSource{sliceSource: goldenActs(17, 9)} }},
 	}
 	modes := []Mode{ModeBaseline, ModeNaive, ModeReCom, ModeORC, ModeDOF, ModeORCDOF, ModeWSS, ModeORCDOFWSS}
-	for _, bt := range batches {
+	for _, rt := range routes {
 		layer := goldenLayer(t)
-		if bt.own != nil {
-			layer.Acts = bt.own
-		}
 		layer.Codes = NewCodePlanes()
-		batch := make([]BatchInput, len(bt.sources))
-		for j, src := range bt.sources {
-			if src != nil {
-				batch[j].Sources = []ActivationSource{src}
-			}
-		}
+		rt.setup(&layer)
 		for _, mode := range modes {
 			for _, workers := range []int{1, 4} {
 				cfg := DefaultConfig()
 				cfg.Mode = mode
 				cfg.MaxWindows = 0
 				cfg.Workers = workers
-				got, err := SimulateNetworkBatchContext(ctx, []Layer{layer}, cfg, batch)
+				got, err := SimulateNetworkContext(ctx, []Layer{layer}, cfg)
 				if err != nil {
-					t.Fatalf("%s %v workers=%d: %v", bt.name, mode, workers, err)
+					t.Fatalf("%s %v workers=%d: %v", rt.name, mode, workers, err)
 				}
-				scfg := cfg
-				scfg.ScalarReference = true
-				sgot, err := SimulateNetworkBatchContext(ctx, []Layer{layer}, scfg, batch)
+				cfg.ScalarReference = true
+				want, err := SimulateNetworkContext(ctx, []Layer{layer}, cfg)
 				if err != nil {
-					t.Fatalf("%s %v workers=%d scalar batch: %v", bt.name, mode, workers, err)
+					t.Fatalf("%s %v workers=%d scalar: %v", rt.name, mode, workers, err)
 				}
-				for j, src := range bt.sources {
-					alone := layer
-					if src != nil {
-						alone.Acts, alone.Codes = src, nil
-					}
-					want, err := SimulateNetworkContext(ctx, []Layer{alone}, scfg)
-					if err != nil {
-						t.Fatalf("%s %v workers=%d input %d scalar: %v", bt.name, mode, workers, j, err)
-					}
-					if !reflect.DeepEqual(got[j], want) {
-						t.Fatalf("%s %v workers=%d input %d: batched %+v != scalar %+v",
-							bt.name, mode, workers, j, got[j], want)
-					}
-					if !reflect.DeepEqual(sgot[j], want) {
-						t.Fatalf("%s %v workers=%d input %d: scalar batch %+v != scalar alone %+v",
-							bt.name, mode, workers, j, sgot[j], want)
-					}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s %v workers=%d: kernel %+v != scalar %+v", rt.name, mode, workers, got, want)
 				}
 			}
 		}

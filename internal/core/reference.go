@@ -55,19 +55,18 @@ func scalarTilePlans(ctx context.Context, l Layer, cfg Config, ls *layerScratch)
 }
 
 // scalarPhase1 returns the pre-kernel phase-1 shard body over the same
-// flattened (input, window) space and input tiers as kernelPhase1: per-bit
-// Set calls to build each slice mask and one CountAnd per (slice, group)
-// over per-group *bitset.Set row masks. Codes come from the input's code
-// plane when it has one, otherwise from a per-input clone of its source.
+// sampled windows as kernelPhase1: per-bit Set calls to build each
+// slice mask and one CountAnd per (slice, group) over per-group
+// *bitset.Set row masks. Codes come from the layer's code plane when it
+// has one, otherwise from its source.
 func scalarPhase1(ctx context.Context, l Layer, cfg Config, plans [][]tilePlan,
-	work []batchWork, sampled, windows int, inputs []p1Input) func(start, end int) {
+	work []batchWork, acts phase1Acts) func(start, end int) {
 	lay := l.Struct.Layout
 	g := cfg.Geometry
 	spi := cfg.Quant.SlicesPerInput()
 	nTiles := lay.RowBlocks * lay.ColBlocks
 	dacMask := uint32(1)<<uint(cfg.Quant.DACBits) - 1
 	return func(start, end int) {
-		rd := newP1Reader(inputs, sampled, windows)
 		buf := make([]uint32, lay.Rows)
 		// Same shard-private occupancy recording as kernelPhase1, so the
 		// metered scalar path observes identical occupancy.
@@ -83,11 +82,11 @@ func scalarPhase1(ctx context.Context, l Layer, cfg Config, plans [][]tilePlan,
 				masks[s][rb] = bitset.New(lay.TileRows(rb))
 			}
 		}
-		for idx := start; idx < end; idx++ {
+		for wi := start; wi < end; wi++ {
 			if ctx.Err() != nil {
 				return
 			}
-			codes := rd.codes(idx/sampled, idx%sampled, buf)
+			codes := acts.codes(wi, buf)
 			for s := 0; s < spi; s++ {
 				for rb := range masks[s] {
 					masks[s][rb].Reset()
@@ -135,7 +134,7 @@ func scalarPhase1(ctx context.Context, l Layer, cfg Config, plans [][]tilePlan,
 							}
 						}
 					}
-					work[idx*nTiles+rb*lay.ColBlocks+cb] = batchWork{batchOUs, batchWL}
+					work[wi*nTiles+rb*lay.ColBlocks+cb] = batchWork{batchOUs, batchWL}
 				}
 			}
 		}

@@ -21,6 +21,7 @@ import (
 	"sre/internal/energy"
 	"sre/internal/mapping"
 	"sre/internal/metrics"
+	"sre/internal/noc"
 	"sre/internal/parallel"
 	"sre/internal/quant"
 	"sre/internal/snapshot"
@@ -30,7 +31,7 @@ import (
 // Options tune experiment scope.
 type Options struct {
 	Seed       uint64
-	MaxWindows int  // per-layer window sampling cap (0 → default 48)
+	MaxWindows int  // per-layer window sampling cap (0 = all windows)
 	Quick      bool // trim sweeps for fast CI/bench runs
 	Workers    int  // build and simulation worker-pool width (0 = GOMAXPROCS)
 	// Metrics, when non-nil, collects run observability across every
@@ -44,13 +45,6 @@ type Options struct {
 
 // DefaultOptions runs every experiment at full scope.
 func DefaultOptions() Options { return Options{Seed: 1, MaxWindows: 48} }
-
-func (o Options) maxWindows() int {
-	if o.MaxWindows <= 0 {
-		return 48
-	}
-	return o.MaxWindows
-}
 
 // Table is a regenerated table/figure.
 type Table struct {
@@ -166,6 +160,9 @@ func Run(id string, opt Options) (*Table, error) {
 	if !ok {
 		return nil, fmt.Errorf("experiments: unknown experiment %q (have %v)", id, IDs())
 	}
+	if opt.MaxWindows < 0 {
+		return nil, fmt.Errorf("experiments: -windows %d is negative (0 = all windows)", opt.MaxWindows)
+	}
 	return r(opt)
 }
 
@@ -210,7 +207,7 @@ func build(spec workload.Spec, mode workload.PruneMode, p quant.Params, g mappin
 	if opt.SnapshotDir != "" {
 		b, _, err = snapshot.LoadOrBuild(opt.SnapshotDir,
 			snapshot.Key{Spec: spec, Prune: mode, Quant: p, Geom: g, Seed: opt.Seed},
-			snapshot.WriteOptions{MaxWindows: opt.maxWindows(), IndexBits: spec.IndexBits},
+			snapshot.WriteOptions{MaxWindows: opt.MaxWindows, IndexBits: spec.IndexBits},
 			parallel.New(opt.Workers))
 	} else {
 		b, err = spec.Build(mode, p, g, opt.Seed, parallel.New(opt.Workers))
@@ -236,9 +233,10 @@ func config(p quant.Params, g mapping.Geometry, indexBits int, opt Options) core
 		Geometry:   g,
 		Quant:      p,
 		IndexBits:  indexBits,
-		MaxWindows: opt.maxWindows(),
+		MaxWindows: opt.MaxWindows,
 		Workers:    opt.Workers,
 		Energy:     energy.Default(),
+		NoC:        noc.Default(),
 		Metrics:    opt.Metrics,
 	}
 }

@@ -1,12 +1,19 @@
 package experiments
 
 import (
+	"context"
 	"flag"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
+
+	"sre"
+	"sre/internal/mapping"
+	"sre/internal/metrics"
+	"sre/internal/quant"
+	"sre/internal/workload"
 )
 
 // quick returns fast options for CI-grade runs.
@@ -25,6 +32,61 @@ func TestIDsOrderedAndComplete(t *testing.T) {
 func TestRunUnknown(t *testing.T) {
 	if _, err := Run("fig99", quick()); err == nil {
 		t.Fatal("accepted unknown experiment")
+	}
+}
+
+// TestMaxWindowsAllAndNegative pins the window cap srebench's -windows
+// passes through: a negative cap is an error naming the flag, and 0
+// simulates every window, so no window is skipped.
+func TestMaxWindowsAllAndNegative(t *testing.T) {
+	_, err := Run("fig17", Options{Seed: 1, MaxWindows: -1, Quick: true})
+	if err == nil || !strings.Contains(err.Error(), "-windows") {
+		t.Fatalf("MaxWindows -1: error %v, want one naming -windows", err)
+	}
+	reg := metrics.NewRegistry()
+	if _, err := Run("fig17", Options{Seed: 1, MaxWindows: 0, Quick: true, Metrics: reg}); err != nil {
+		t.Fatal(err)
+	}
+	var windows, skipped int64
+	for name, v := range reg.Snapshot().Counters {
+		switch {
+		case strings.HasPrefix(name, "sre_core_windows_total{"):
+			windows += v
+		case strings.HasPrefix(name, "sre_core_windows_skipped_total{"):
+			skipped += v
+		}
+	}
+	if windows == 0 || skipped != 0 {
+		t.Fatalf("MaxWindows 0: %d windows, %d skipped; want every window simulated", windows, skipped)
+	}
+}
+
+// TestFigureEnergyMatchesLibrary pins the figures' energy accounting to
+// the library's: a fig17/18-path run of MNIST orc+dof charges the same
+// components, interconnect included, as sre's RunContext at the same
+// windows and seed.
+func TestFigureEnergyMatchesLibrary(t *testing.T) {
+	opt := quick()
+	p, g := quant.Default(), mapping.Default()
+	spec := specsFor(opt)[0]
+	b, err := build(spec, workload.SSL, p, g, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := modeResults(b, spec, p, g, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, err := sre.Load(spec.Name, sre.WithSeed(opt.Seed), sre.WithMaxWindows(opt.MaxWindows))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lib, err := net.RunContext(context.Background(), sre.ORCDOF)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := res["orc+dof"].Energy.Total(), lib.Energy.Total(); got != want {
+		t.Fatalf("%s orc+dof: figure energy %g J, library energy %g J", spec.Name, got, want)
 	}
 }
 

@@ -257,6 +257,19 @@ func (p *Pool) ForDynamic(ctx context.Context, n, chunk int, fn func(start, end 
 		st.Items.Add(int64(n))
 		st.DynChunks.Add(int64(nChunks))
 	}
+	workers := min(p.Workers(), nChunks)
+	if workers == 1 {
+		// One worker drains the chunks in order on the caller's
+		// goroutine: nothing is shared, so nothing escapes to the heap.
+		if st != nil {
+			st.DynWorkers.Add(1)
+		}
+		var ps panics
+		for c := 0; c < nChunks && ctx.Err() == nil; c++ {
+			ps.run(fn, c*chunk, min((c+1)*chunk, n))
+		}
+		return ps.err(ctx)
+	}
 	var cursor atomic.Int64
 	var ps panics
 	body := func() {
@@ -275,10 +288,6 @@ func (p *Pool) ForDynamic(ctx context.Context, n, chunk int, fn func(start, end 
 			}
 			ps.run(fn, start, end)
 		}
-	}
-	workers := p.Workers()
-	if workers > nChunks {
-		workers = nChunks
 	}
 	var wg sync.WaitGroup
 spawn:

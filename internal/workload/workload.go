@@ -320,8 +320,11 @@ func eachLayer(pool *parallel.Pool, infos []nn.LayerInfo, fn func(i int, li nn.L
 // only on (actSeed, spec name, layer path) — no weight regeneration,
 // no ordering sensitivity. actSeed equal to the build seed reproduces
 // the built-in sources bit-identically; layers whose source is not a
-// *SyntheticActs keep their own source. The batched multi-activation
-// sweep (sre.RunBatchContext) is the consumer.
+// *SyntheticActs keep their own source. Every returned source has the
+// same window count as the layer's own: sre.RunBatchContext relies on
+// it to run each static (non-DOF) mode once and copy the result to
+// every activation set, since a static run reads a source only through
+// Windows().
 func (s Spec) VariantSources(layers []core.Layer, actSeed uint64) []core.ActivationSource {
 	root := xrand.New(actSeed).Split("workload/" + s.Name)
 	out := make([]core.ActivationSource, len(layers))
@@ -478,12 +481,8 @@ type SyntheticActs struct {
 // Windows implements core.ActivationSource.
 func (s *SyntheticActs) Windows() int { return s.NWindows }
 
-// CloneSource implements core.SourceCloner. WindowCodes derives every
-// window from the seed alone (no scratch state), so the source itself
-// is safe to share across workers.
-func (s *SyntheticActs) CloneSource() core.ActivationSource { return s }
-
-// WindowCodes implements core.ActivationSource.
+// WindowCodes implements core.ActivationSource. It derives every window
+// from the seed alone (no scratch state), so concurrent calls are safe.
 func (s *SyntheticActs) WindowCodes(w int, dst []uint32) {
 	if len(dst) != s.Rows {
 		panic(fmt.Sprintf("workload: window wants %d rows, got %d", s.Rows, len(dst)))

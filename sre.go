@@ -458,11 +458,21 @@ func (c Config) Validate() error {
 		return fmt.Errorf("sre: IndexBits %d outside [0, %d] (0 = the per-network width)", c.IndexBits, index.MaxBits)
 	case c.MaxWindows < 0:
 		return fmt.Errorf("sre: MaxWindows %d is negative (0 = every window)", c.MaxWindows)
-	case c.WeightBits > 32:
+	case c.CrossbarSize <= 0:
+		return fmt.Errorf("sre: CrossbarSize %d is not positive", c.CrossbarSize)
+	case c.OUHeight <= 0 || c.OUHeight > c.CrossbarSize:
+		return fmt.Errorf("sre: OUHeight %d outside [1, CrossbarSize %d]", c.OUHeight, c.CrossbarSize)
+	case c.OUWidth <= 0 || c.OUWidth > c.CrossbarSize:
+		return fmt.Errorf("sre: OUWidth %d outside [1, CrossbarSize %d]", c.OUWidth, c.CrossbarSize)
+	case c.WeightBits <= 0 || c.WeightBits > 32:
 		// Quantized codes are uint32 (quant.QuantizeUnsigned).
-		return fmt.Errorf("sre: WeightBits %d above 32", c.WeightBits)
-	case c.ActivationBits > 32:
-		return fmt.Errorf("sre: ActivationBits %d above 32", c.ActivationBits)
+		return fmt.Errorf("sre: WeightBits %d outside [1, 32]", c.WeightBits)
+	case c.ActivationBits <= 0 || c.ActivationBits > 32:
+		return fmt.Errorf("sre: ActivationBits %d outside [1, 32]", c.ActivationBits)
+	case c.CellBits <= 0 || c.CellBits > 16 || c.WeightBits%c.CellBits != 0:
+		return fmt.Errorf("sre: CellBits %d outside [1, 16] or not dividing WeightBits %d", c.CellBits, c.WeightBits)
+	case c.DACBits <= 0 || c.DACBits > 16 || c.ActivationBits%c.DACBits != 0:
+		return fmt.Errorf("sre: DACBits %d outside [1, 16] or not dividing ActivationBits %d", c.DACBits, c.ActivationBits)
 	}
 	if err := c.geometry().Validate(); err != nil {
 		return err
@@ -470,7 +480,7 @@ func (c Config) Validate() error {
 	if err := c.params().Validate(); err != nil {
 		return err
 	}
-	if c.CellBits > 0 && (c.SliceCap < 0 || c.SliceCap > c.WeightBits/c.CellBits) {
+	if c.SliceCap < 0 || c.SliceCap > c.WeightBits/c.CellBits {
 		return fmt.Errorf("sre: slice cap %d outside [0, %d] (weight bits / cell bits)",
 			c.SliceCap, c.WeightBits/c.CellBits)
 	}
@@ -853,9 +863,8 @@ func (n *Network) RunModesContext(ctx context.Context, modes []Mode, opts ...Opt
 	return grid[0], nil
 }
 
-// ActivationSet selects one activation assignment of a batched run
-// (RunBatchContext). The zero value selects the network's built-in
-// activations.
+// ActivationSet selects one activation assignment of a RunBatchContext
+// call. The zero value selects the network's built-in activations.
 type ActivationSet struct {
 	// ActSeed, when non-zero and different from the network's build
 	// seed, re-derives every layer's synthetic activations from this
@@ -866,18 +875,16 @@ type ActivationSet struct {
 	ActSeed uint64
 }
 
-// RunBatchContext simulates the given modes once per activation set as
-// one batched multi-activation sweep and returns results indexed
-// [set][mode]. Each Result is bit-identical to the same mode run alone
-// over this network with that set's activations substituted; the batch
-// shares everything activation-independent across sets — compression
-// plans, window-code and slice-mask planes, scratch arenas, and (for
-// the static modes, which never read activation values) the entire
-// simulation — so a batched sweep is sub-linear in the number of
-// sets. Modes run concurrently through one shared worker pool. Per-run
-// options follow RunContext's rules; WithProgress reports each mode's
-// layers once, with the first set's numbers. Every other Run method is
-// a batch of this one.
+// RunBatchContext simulates the given modes once per activation set and
+// returns results indexed [set][mode]. Each Result is bit-identical to
+// the same mode run alone over this network with that set's
+// activations substituted. A static (non-DOF) mode never reads
+// activation values and every set keeps the network's window counts,
+// so it runs once on the built layers and its result is copied to
+// every set; a DOF mode runs once per set. All these runs share one
+// worker pool. Per-run options follow RunContext's rules; WithProgress
+// reports each mode's layers once, with the first set's numbers. Every
+// other Run method calls this one.
 func (n *Network) RunBatchContext(ctx context.Context, modes []Mode, sets []ActivationSet, opts ...Option) ([][]Result, error) {
 	if len(modes) == 0 {
 		return nil, fmt.Errorf("sre: RunBatchContext needs at least one mode")
@@ -902,12 +909,6 @@ func (n *Network) RunBatchContext(ctx context.Context, modes []Mode, sets []Acti
 	if err != nil {
 		return nil, err
 	}
-	batch := make([]core.BatchInput, len(sets))
-	for j, a := range sets {
-		if a.ActSeed != 0 && a.ActSeed != n.cfg.Seed {
-			batch[j].Sources = n.spec.VariantSources(layers, a.ActSeed)
-		}
-	}
 	indexBits := s.cfg.indexWidth(n.spec)
 	cfg := core.Config{
 		Geometry:   n.cfg.geometry(),
@@ -920,28 +921,37 @@ func (n *Network) RunBatchContext(ctx context.Context, modes []Mode, sets []Acti
 		NoC:        noc.Default(),
 		Metrics:    s.metrics,
 	}
-	out := make([][]Result, len(sets))
-	for j := range out {
-		out[j] = make([]Result, len(modes))
+	// One task per (DOF mode, set), and one per static mode on set 0,
+	// whose result every set shares.
+	type task struct{ mode, set int }
+	var tasks []task
+	for i, cm := range cms {
+		for j := range sets {
+			if cm.DOF || j == 0 {
+				tasks = append(tasks, task{i, j})
+			}
+		}
 	}
-	errs := make([]error, len(modes))
-	poolErr := pool.For(ctx, len(modes), func(start, end int) {
-		for i := start; i < end; i++ {
+	ress := make([]core.NetworkResult, len(tasks))
+	errs := make([]error, len(tasks))
+	poolErr := pool.For(ctx, len(tasks), func(start, end int) {
+		for k := start; k < end; k++ {
+			t := tasks[k]
 			mcfg := cfg
-			mcfg.Mode = cms[i]
-			if s.progress != nil {
-				mcfg.Progress = n.progressFunc(s.progress, modes[i])
+			mcfg.Mode = cms[t.mode]
+			if s.progress != nil && t.set == 0 {
+				mcfg.Progress = n.progressFunc(s.progress, modes[t.mode])
 			}
-			fp, err := core.FootprintOf(layers, cms[i].Scheme, indexBits)
-			var ress []core.NetworkResult
-			if err == nil {
-				ress, err = core.SimulateNetworkBatchContext(ctx, layers, mcfg, batch)
+			// A DOF run of a variant set reads a copy of the layers with
+			// the set's sources and no code cache.
+			ls := layers
+			if a := sets[t.set]; mcfg.Mode.DOF && a.ActSeed != 0 && a.ActSeed != n.cfg.Seed {
+				ls = slices.Clone(layers)
+				for i, src := range n.spec.VariantSources(layers, a.ActSeed) {
+					ls[i].Acts, ls[i].Codes = src, nil
+				}
 			}
-			if err != nil {
-				errs[i] = err
-				continue
-			}
-			n.fillResults(out, i, modes[i], fp, ress)
+			ress[k], errs[k] = core.SimulateNetworkContext(ctx, ls, mcfg)
 		}
 	})
 	for _, err := range errs {
@@ -952,13 +962,21 @@ func (n *Network) RunBatchContext(ctx context.Context, modes []Mode, sets []Acti
 	if poolErr != nil {
 		return nil, poolErr
 	}
-	if s.metrics != nil {
-		// One snapshot once every mode is done, so all results agree on
-		// the sweep-wide totals.
-		snap := s.metrics.Snapshot()
-		for j := range out {
-			for i := range out[j] {
-				out[j][i].Metrics = snap
+	// One metrics snapshot once every run is done, so all results agree
+	// on the sweep-wide totals.
+	snap := s.metrics.Snapshot()
+	out := make([][]Result, len(sets))
+	for j := range out {
+		out[j] = make([]Result, len(modes))
+	}
+	for k, t := range tasks {
+		fp, err := core.FootprintOf(layers, cms[t.mode].Scheme, indexBits)
+		if err != nil {
+			return nil, err
+		}
+		for j := range sets {
+			if t.set == j || !cms[t.mode].DOF {
+				out[j][t.mode] = n.result(modes[t.mode], fp, ress[k], snap)
 			}
 		}
 	}
@@ -1016,20 +1034,18 @@ func layerResult(lr core.LayerResult) LayerResult {
 	return LayerResult{Name: lr.Name, Cycles: lr.Cycles, Seconds: lr.Time, Energy: Breakdown(lr.Energy)}
 }
 
-// fillResults converts one mode's core results, one per activation
-// set, into column mi of the [set][mode] grid. The footprint depends
-// only on the weight scheme, so every set shares it.
-func (n *Network) fillResults(out [][]Result, mi int, mode Mode, fp core.Footprint, ress []core.NetworkResult) {
-	tmpl := Result{Version: ResultVersion, Network: n.name, Mode: mode,
-		CompressionRatio: fp.Ratio(), IndexStorageBits: fp.IndexBits, ElidedGroups: fp.EmptyGroups}
-	for j, res := range ress {
-		r := tmpl
-		r.Cycles, r.Seconds, r.Energy = res.Cycles, res.Time, Breakdown(res.Energy)
-		for _, lr := range res.Layers {
-			r.Layers = append(r.Layers, layerResult(lr))
-		}
-		out[j][mi] = r
+// result converts one core result into a Result for mode, whose
+// footprint depends only on the weight scheme. Every call builds its
+// own Layers slice, so sets that share a static mode's run share no
+// memory.
+func (n *Network) result(mode Mode, fp core.Footprint, res core.NetworkResult, snap *MetricsSnapshot) Result {
+	r := Result{Version: ResultVersion, Network: n.name, Mode: mode,
+		CompressionRatio: fp.Ratio(), IndexStorageBits: fp.IndexBits, ElidedGroups: fp.EmptyGroups,
+		Cycles: res.Cycles, Seconds: res.Time, Energy: Breakdown(res.Energy), Metrics: snap}
+	for _, lr := range res.Layers {
+		r.Layers = append(r.Layers, layerResult(lr))
 	}
+	return r
 }
 
 // ResultsByMode keys a RunAll result slice by mode.

@@ -180,19 +180,19 @@ func TestRunBatchValidation(t *testing.T) {
 	}
 }
 
-// BenchmarkBatchedSweep measures RunBatchContext's sub-linearity claim
-// over four activation sets (the resident network's own
-// activations plus three variant seeds):
+// BenchmarkBatchedSweep measures RunBatchContext over four activation
+// sets (the resident network's own activations plus three variant
+// seeds):
 //
 //   - Single: one sweep of the network's own activations — the
 //     fully-cached steady-state floor.
-//   - Separate4: the four sets swept independently, one batch call per
-//     set — what four separate requests cost.
-//   - Batched4: the four sets as one batched sweep.
+//   - Separate4: the four sets swept independently, one call per set —
+//     what four separate requests cost.
+//   - Batched4: the four sets in one call.
 //
-// Sub-linearity is Batched4 ns/op < Separate4 ns/op (the batch shares
-// the plans, planes, arenas, and the entire static-mode simulation
-// across sets), with Single as the all-shared lower bound.
+// Batched4 stays below Separate4 because RunBatchContext runs each
+// static (non-DOF) mode once and copies its result to every set; each
+// DOF mode still runs once per set, exactly as Separate4 does.
 func BenchmarkBatchedSweep(b *testing.B) {
 	net, err := Load("MNIST", smallOpts()...)
 	if err != nil {

@@ -38,8 +38,11 @@ func TestConfigValidate(t *testing.T) {
 		set   func(*Config)
 		ok    bool
 	}{
-		{"", func(c *Config) { c.OUHeight = 0 }, false},
-		{"", func(c *Config) { c.CellBits = 3 }, false}, // does not divide WeightBits
+		{"OUHeight", func(c *Config) { c.OUHeight = 0 }, false},
+		{"CellBits", func(c *Config) { c.CellBits = 3 }, false}, // does not divide WeightBits
+		{"CrossbarSize", func(c *Config) { c.CrossbarSize = 0 }, false},
+		{"DACBits", func(c *Config) { c.DACBits = 0 }, false},
+		{"OUWidth", func(c *Config) { c.OUWidth = c.CrossbarSize + 1 }, false},
 		{"IndexBits", func(c *Config) { c.IndexBits = 70 }, false},
 		{"IndexBits", func(c *Config) { c.IndexBits = 31 }, false},
 		{"IndexBits", func(c *Config) { c.IndexBits = -1 }, false},
