@@ -31,7 +31,7 @@ BENCH_COUNT ?= 1
 # internal/bitset so kernel-dispatch regressions show up in the same
 # trajectory record.
 BENCH_PATTERN = BenchmarkSimulateLayer|BenchmarkBatchedSweep
-BENCH_PATTERN_BITSET = BenchmarkCountWords|BenchmarkCountAndPlanes|BenchmarkBuildSliceMasks
+BENCH_PATTERN_BITSET = BenchmarkCountWords|BenchmarkCountAndPlanes|BenchmarkTileOU|BenchmarkBuildSliceMasks
 
 .PHONY: all build fmt vet test race bench-smoke smoke verify bench bench-rebaseline bench-quick bench-compare bench-load bench-cluster experiments snapshot-roundtrip results profile clean
 

@@ -61,6 +61,27 @@ func countAndPlanes1AVX2(mask uint64, plane *uint64, counts *int, groups int)
 //go:noescape
 func countAndPlanes2AVX2(mask *uint64, plane *uint64, counts *int, groups int)
 
+// tileOU8x1AVX2 and tileOU8x2AVX2 are TileOU for eight groups of one
+// and two words: the plane lives in YMM registers for the whole call and
+// the loop over ne's set slices runs inside the kernel, so a tile visit
+// is one call however many slices it has. stride is in words, shift is
+// log2(swl), and ne must be non-zero.
+//
+//go:noescape
+func tileOU8x1AVX2(masks *uint64, stride int, ne uint64, plane *uint64, shift int) (ous, wl int64)
+
+//go:noescape
+func tileOU8x2AVX2(masks *uint64, stride int, ne uint64, plane *uint64, shift int) (ous, wl int64)
+
+// tileOU8 dispatches the eight-group TileOU shapes by group width
+// (w is 1 or 2).
+func tileOU8(masks []uint64, stride int, ne uint64, plane []uint64, w, shift int) (ous, wl int64) {
+	if w == 1 {
+		return tileOU8x1AVX2(&masks[0], stride, ne, &plane[0], shift)
+	}
+	return tileOU8x2AVX2(&masks[0], stride, ne, &plane[0], shift)
+}
+
 // countAndPlanes1 dispatches the one-word-per-group shape: AVX2 over
 // the 4-aligned prefix, portable scalar for the tail.
 func countAndPlanes1(mask uint64, plane []uint64, counts []int) {

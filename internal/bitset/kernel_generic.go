@@ -17,3 +17,7 @@ func countAndPlanes1(mask uint64, plane []uint64, counts []int) {
 func countAndPlanes2(mask, plane []uint64, counts []int) {
 	panic("bitset: no AVX2 tier in this build")
 }
+
+func tileOU8(masks []uint64, stride int, ne uint64, plane []uint64, w, shift int) (ous, wl int64) {
+	panic("bitset: no AVX2 tier in this build")
+}

@@ -2,6 +2,9 @@ package bitset
 
 import (
 	"math/bits"
+	"os"
+	"regexp"
+	"strings"
 	"testing"
 
 	"sre/internal/xrand"
@@ -205,6 +208,138 @@ func FuzzCountAndPlanesTiers(f *testing.F) {
 	})
 }
 
+// tileOURef is the golden-reference TileOU: every (slice, group)
+// count materialized one word at a time, then divided.
+func tileOURef(masks []uint64, stride int, ne uint64, plane []uint64, groups, swl int) (ous, wl int64) {
+	if groups == 0 {
+		return 0, 0
+	}
+	w := len(plane) / groups
+	for s := 0; s < 64; s++ {
+		if ne&(1<<uint(s)) == 0 {
+			continue
+		}
+		for g := 0; g < groups; g++ {
+			nz := 0
+			for i := 0; i < w; i++ {
+				nz += bits.OnesCount64(masks[s*stride+i] & plane[g*w+i])
+			}
+			ous += int64((nz + swl - 1) / swl)
+			wl += int64(nz)
+		}
+	}
+	return ous, wl
+}
+
+// checkTileOU compares TileOU, its portable tier and (for the shapes
+// it serves) its AVX2 tier against tileOURef on one input.
+func checkTileOU(t *testing.T, masks []uint64, stride int, ne uint64, plane []uint64, groups, swl int) {
+	t.Helper()
+	wantO, wantW := tileOURef(masks, stride, ne, plane, groups, swl)
+	if o, w := TileOU(masks, stride, ne, plane, groups, swl); o != wantO || w != wantW {
+		t.Fatalf("TileOU groups=%d len(plane)=%d stride=%d ne=%#x swl=%d: got (%d, %d) want (%d, %d)",
+			groups, len(plane), stride, ne, swl, o, w, wantO, wantW)
+	}
+	if groups == 0 || ne == 0 {
+		return
+	}
+	w := len(plane) / groups
+	if o, n := tileOUGeneric(masks, stride, ne, plane, groups, w, swl); o != wantO || n != wantW {
+		t.Fatalf("tileOUGeneric groups=%d w=%d stride=%d ne=%#x swl=%d: got (%d, %d) want (%d, %d)",
+			groups, w, stride, ne, swl, o, n, wantO, wantW)
+	}
+	if hasAVX2 && groups == 8 && (w == 1 || w == 2) && swl&(swl-1) == 0 {
+		if o, n := tileOU8(masks, stride, ne, plane, w, bits.TrailingZeros(uint(swl))); o != wantO || n != wantW {
+			t.Fatalf("AVX2 w=%d stride=%d ne=%#x swl=%d: got (%d, %d) want (%d, %d)",
+				w, stride, ne, swl, o, n, wantO, wantW)
+		}
+	}
+}
+
+func TestTileOUTiersAgree(t *testing.T) {
+	r := xrand.New(11)
+	const slices = 32
+	for _, w := range []int{1, 2, 3, 8} {
+		for _, groups := range []int{0, 1, 7, 8, 9, 16} {
+			for _, stride := range []int{w, w + 1, 2*w + 3} {
+				for _, fill := range []string{"zero", "ones", "random"} {
+					masks := kernelWords(r, slices*stride, fill)
+					plane := kernelWords(r, w*groups, fill)
+					for _, ne := range []uint64{0, 1, 1<<slices - 1, 1 << 31, r.Uint64() & (1<<slices - 1)} {
+						for _, swl := range []int{1, 3, 16, 128} {
+							checkTileOU(t, masks, stride, ne, plane, groups, swl)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// FuzzTileOUTiers cross-checks the fused tile kernel tiers, deriving
+// (width, groups, stride, slice bitmap, swl) and the words from the
+// fuzz input.
+func FuzzTileOUTiers(f *testing.F) {
+	f.Add(uint8(1), uint8(8), uint8(0), uint64(0xffff), uint8(16), []byte{0xff, 0x00, 0x12})
+	f.Add(uint8(2), uint8(8), uint8(1), uint64(1<<15|1), uint8(16), make([]byte, 96))
+	f.Add(uint8(3), uint8(9), uint8(2), uint64(0x5a5a), uint8(3), []byte{0xaa})
+	f.Fuzz(func(t *testing.T, w8, g8, pad8 uint8, ne uint64, swl8 uint8, data []byte) {
+		w := int(w8%9) + 1
+		groups := int(g8 % 18)
+		stride := w + int(pad8%4)
+		swl := int(swl8%128) + 1
+		const slices = 16
+		ne &= 1<<slices - 1
+		need := slices*stride + w*groups
+		words := make([]uint64, need)
+		for i, b := range data {
+			words[(i/8)%need] ^= uint64(b) << uint(8*(i%8))
+		}
+		masks, plane := words[:slices*stride], words[slices*stride:]
+		checkTileOU(t, masks, stride, ne, plane, groups, swl)
+	})
+}
+
+// legacyXMMLines returns the 1-based lines of an assembly source whose
+// instructions are not VEX-encoded but touch an X register.
+func legacyXMMLines(src string) []int {
+	xreg := regexp.MustCompile(`\bX\d+\b`)
+	var bad []int
+	for i, line := range strings.Split(src, "\n") {
+		code, _, _ := strings.Cut(line, "//")
+		for _, ins := range strings.Split(code, ";") {
+			fields := strings.Fields(strings.TrimSuffix(strings.TrimSpace(ins), "\\"))
+			if len(fields) < 2 || strings.HasPrefix(fields[0], "V") || strings.HasPrefix(fields[0], "#") {
+				continue
+			}
+			if xreg.MatchString(strings.Join(fields[1:], " ")) {
+				bad = append(bad, i+1)
+				break
+			}
+		}
+	}
+	return bad
+}
+
+// TestKernelAsmVEXOnly keeps the assembly tier VEX-encoded: a
+// legacy-SSE instruction touching an X register (MOVQ X7, AX rather
+// than VMOVQ X7, AX) pays an AVX/SSE transition that cost ~150 ns per
+// call on an AVX2 server core, several times a one-slice TileOU call.
+func TestKernelAsmVEXOnly(t *testing.T) {
+	probe := "\tMOVQ X7, AX\n\tVMOVQ X7, AX\n#define M \\\n\tVPXOR Y1, Y1, Y1; \\\n\tMOVQ AX, X0\n"
+	if got := legacyXMMLines(probe); len(got) != 2 || got[0] != 1 || got[1] != 5 {
+		t.Fatalf("scanner self-check: flagged lines %v, want [1 5]", got)
+	}
+	src, err := os.ReadFile("kernel_amd64.s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(string(src), "\n")
+	for _, n := range legacyXMMLines(string(src)) {
+		t.Errorf("kernel_amd64.s:%d: legacy-SSE instruction on an X register: %s", n, strings.TrimSpace(lines[n-1]))
+	}
+}
+
 func BenchmarkCountWords(b *testing.B) {
 	r := xrand.New(3)
 	words := kernelWords(r, 512, "random")
@@ -230,3 +365,20 @@ func benchmarkCountAndPlanes(b *testing.B, w, groups int) {
 func BenchmarkCountAndPlanesW1(b *testing.B) { benchmarkCountAndPlanes(b, 1, 16) }
 func BenchmarkCountAndPlanesW2(b *testing.B) { benchmarkCountAndPlanes(b, 2, 16) }
 func BenchmarkCountAndPlanesW8(b *testing.B) { benchmarkCountAndPlanes(b, 8, 16) }
+
+// benchmarkTileOU times one tile visit at a Table-1 shape: eight
+// groups of w words, 16 slices of which half are non-empty, SWL 16.
+func benchmarkTileOU(b *testing.B, w int) {
+	r := xrand.New(5)
+	const stride = 2
+	masks := kernelWords(r, 16*stride, "random")
+	plane := kernelWords(r, 8*w, "random")
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		o, _ := TileOU(masks, stride, 0x5555, plane, 8, 16)
+		sinkInt += int(o)
+	}
+}
+
+func BenchmarkTileOUW1(b *testing.B) { benchmarkTileOU(b, 1) }
+func BenchmarkTileOUW2(b *testing.B) { benchmarkTileOU(b, 2) }

@@ -56,6 +56,39 @@ func CountAndPlanes(mask, plane []uint64, counts []int) {
 	countAndPlanesGeneric(mask, plane, counts)
 }
 
+// TileOU is the fused Dynamic-OU-Formation count of one tile for one
+// window. For every slice s set in ne, the mask words of s start at
+// masks[s·stride]; for every group g of plane (groups groups of
+// len(plane)/groups words each) it takes nz = popcount(mask_s ∩ group
+// g) and returns ous = Σ ceil(nz/swl) and wl = Σ nz over all (s, g).
+// The per-group counts are never stored. stride must be at least the
+// group width, and every slice in ne must fit in masks.
+//
+// Dispatch (kernel.go): eight groups of one or two words with a
+// power-of-two swl — Table 1's 128-row tiles and 16×16 OUs — take the
+// AVX2 tier, which keeps the plane in registers across the slice
+// loop; everything else takes the portable tier.
+func TileOU(masks []uint64, stride int, ne uint64, plane []uint64, groups, swl int) (ous, wl int64) {
+	if ne == 0 || groups == 0 {
+		return 0, 0
+	}
+	if swl < 1 || len(plane)%groups != 0 {
+		panic("bitset: TileOU needs swl >= 1 and groups dividing the plane")
+	}
+	w := len(plane) / groups
+	if w == 0 {
+		return 0, 0
+	}
+	last := 63 - bits.LeadingZeros64(ne)
+	if stride < w || last*stride+w > len(masks) {
+		panic("bitset: TileOU mask slices out of range")
+	}
+	if hasAVX2 && groups == 8 && w <= 2 && swl&(swl-1) == 0 {
+		return tileOU8(masks, stride, ne, plane, w, bits.TrailingZeros(uint(swl)))
+	}
+	return tileOUGeneric(masks, stride, ne, plane, groups, w, swl)
+}
+
 // BuildSliceMasks derives every activation bit-slice mask from one
 // window's quantized codes in a single sweep: bit i of masks[s] is set
 // iff codes[i] has a non-zero dacBits-wide digit at slice s. Each

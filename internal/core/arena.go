@@ -79,10 +79,7 @@ func (ls *layerScratch) tilePlans(rowBlocks, colBlocks int) [][]tilePlan {
 			ls.planBack[i] = tilePlan{}
 		}
 	}
-	if cap(ls.planRows) < rowBlocks {
-		ls.planRows = make([][]tilePlan, rowBlocks)
-	}
-	ls.planRows = ls.planRows[:rowBlocks]
+	ls.planRows = resize(ls.planRows, rowBlocks)
 	for rb := 0; rb < rowBlocks; rb++ {
 		ls.planRows[rb] = ls.planBack[rb*colBlocks : (rb+1)*colBlocks]
 	}
@@ -93,10 +90,7 @@ func (ls *layerScratch) tilePlans(rowBlocks, colBlocks int) [][]tilePlan {
 // writes every slot for every sampled window before phase 2 reads any,
 // and on early cancellation the layer errors out before the read.
 func (ls *layerScratch) workSlots(n int) []batchWork {
-	if cap(ls.work) < n {
-		ls.work = make([]batchWork, n)
-	}
-	ls.work = ls.work[:n]
+	ls.work = resize(ls.work, n)
 	return ls.work
 }
 
@@ -120,9 +114,9 @@ func (ls *layerScratch) tileAccs(n int) []tileAcc {
 // identifies the shapes; a recycled block with a matching stamp is
 // reused as-is because every buffer is fully overwritten per window
 // (BuildSliceMasks rewrites each mask's words, CountAndPlanes rewrites
-// the counts). It also memoizes its metrics shard per registry, so the
-// dynamic window loop's many chunk checkouts don't register a shard
-// each.
+// the counts), and one with another stamp is reshaped in place. It
+// also memoizes its metrics shard per registry, so the dynamic window
+// loop's many chunk checkouts don't register a shard each.
 type p1Scratch struct {
 	lay mapping.Layout
 	spi int
@@ -176,36 +170,51 @@ func (s *p1Scratch) shard(reg *metrics.Registry) *metrics.Shard {
 	return s.sh
 }
 
-// shape sizes every buffer for the given layout. Mask headers are cut
-// from one backing array exactly like the pre-arena per-shard setup.
+// shape sizes every buffer for the given layout, reusing each one's
+// capacity like layerScratch.workSlots: a pooled block that moves
+// between layers of different layouts reallocates only what outgrows
+// it. Mask headers are cut from one backing array; every buffer is
+// overwritten before it is read, so stale contents never leak.
 func (s *p1Scratch) shape(lay mapping.Layout, spi int) {
 	s.lay, s.spi = lay, spi
-	s.codes = make([]uint32, lay.Rows)
+	s.codes = resize(s.codes, lay.Rows)
 	maxWords := bitset.Words64(lay.XbarRows)
-	s.backing = make([]uint64, lay.RowBlocks*spi*maxWords)
-	s.masks = make([][][]uint64, lay.RowBlocks)
+	s.backing = resize(s.backing, lay.RowBlocks*spi*maxWords)
+	s.masks = resize(s.masks, lay.RowBlocks)
 	for rb := range s.masks {
-		s.masks[rb] = make([][]uint64, spi)
+		s.masks[rb] = resize(s.masks[rb], spi)
 		words := bitset.Words64(lay.TileRows(rb))
 		for sl := 0; sl < spi; sl++ {
 			off := (rb*spi + sl) * maxWords
 			s.masks[rb][sl] = s.backing[off : off+words]
 		}
 	}
-	s.nonEmpty = make([]uint64, lay.RowBlocks)
+	s.nonEmpty = resize(s.nonEmpty, lay.RowBlocks)
 	maxGroups := 0
 	for cb := 0; cb < lay.ColBlocks; cb++ {
 		if n := lay.GroupsInTile(cb); n > maxGroups {
 			maxGroups = n
 		}
 	}
-	s.counts = make([]int, maxGroups)
-	s.sliceNZ = make([]int, lay.RowBlocks*spi)
-	// Phase 1 computes ceil(nz/S_WL) for every non-zero group count; a
-	// lookup table turns the inner loop's hardware division (a ~20%
-	// profile cost) into an L1 load. nz never exceeds a tile's rows.
-	s.ouTab = make([]int32, lay.XbarRows+1)
+	s.counts = resize(s.counts, maxGroups)
+	s.sliceNZ = resize(s.sliceNZ, lay.RowBlocks*spi)
+	// The metered and Baseline paths compute ceil(nz/S_WL) for every
+	// non-zero group count; a lookup table turns the inner loop's
+	// hardware division (a ~20% profile cost) into an L1 load. nz never
+	// exceeds a tile's rows. The unmetered path's bitset.TileOU folds
+	// the ceil into its kernel (a shift for power-of-two S_WL) instead.
+	s.ouTab = resize(s.ouTab, lay.XbarRows+1)
+	s.ouTab[0] = 0
 	for nz := 1; nz <= lay.XbarRows; nz++ {
 		s.ouTab[nz] = int32((nz + lay.SWL - 1) / lay.SWL)
 	}
+}
+
+// resize returns buf with length n, reallocating only when its capacity
+// is short. The contents are unspecified.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
 }

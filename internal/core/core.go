@@ -787,8 +787,10 @@ func (a *phase1Acts) codes(wi int, buf []uint32) []uint32 {
 // sampled windows. For each window it derives all activation bit-slice
 // masks in one sweep (bitset.BuildSliceMasks) — or reads them straight
 // from the cached mask plane — then counts every column group's
-// retained-row intersection with one fused pass per slice over the
-// tile's cached word plane (bitset.CountAndPlanes). Scratch comes from
+// retained-row intersection against the tile's cached word plane: one
+// bitset.TileOU call per tile when unmetered, or one
+// bitset.CountAndPlanes pass per slice when the occupancy histogram
+// needs each group's count. Scratch comes from
 // the phase-1 arena (checked out per dynamic chunk) and every result
 // lands in a disjoint work slot, so the phase stays bit-identical at
 // any worker count.
@@ -814,6 +816,12 @@ func kernelPhase1(ctx context.Context, l Layer, cfg Config, plans [][]tilePlan,
 		if cfg.Metrics != nil {
 			occ = scr.shard(cfg.Metrics).Histogram(occName(cfg.Mode), occupancyBounds)
 		}
+		// Unmetered non-Baseline runs take one fused bitset.TileOU call
+		// per (window, tile): the occupancy histogram is the only reader
+		// of each group's count. Slices past 63 do not fit TileOU's
+		// bitmap and stay on the per-slice loop.
+		fused := occ == nil && !baseline && spi <= 64
+		maxWords := bitset.Words64(lay.XbarRows)
 		mp := acts.mp
 		for wi := start; wi < end; wi++ {
 			if ctx.Err() != nil {
@@ -841,13 +849,25 @@ func kernelPhase1(ctx context.Context, l Layer, cfg Config, plans [][]tilePlan,
 			for rb := range plans {
 				ne := nonEmpty[rb]
 				mbase, tw := 0, 0
+				// tileMasks holds this (window, row block)'s slice masks,
+				// slice s at word s·maxWords, in either tier.
+				tileMasks := scr.backing[rb*spi*maxWords : (rb+1)*spi*maxWords]
 				if mp != nil {
 					mbase = (wi*lay.RowBlocks + rb) * spi
 					ne = mp.nonEmpty[wi*lay.RowBlocks+rb]
 					tw = bitset.Words64(lay.TileRows(rb))
+					tileMasks = mp.words[mbase*maxWords : (mbase+spi)*maxWords]
 				}
 				for cb := range plans[rb] {
 					tp := &plans[rb][cb]
+					if fused {
+						var bw batchWork
+						if ne != 0 {
+							bw.ous, bw.wl = bitset.TileOU(tileMasks, maxWords, ne, tp.plans.Plane, tp.plans.Groups, g.SWL)
+						}
+						work[wi*nTiles+rb*lay.ColBlocks+cb] = bw
+						continue
+					}
 					var batchOUs, batchWL int64
 					for s := 0; s < spi; s++ {
 						if s < 64 && ne&(1<<uint(s)) == 0 {

@@ -8,6 +8,7 @@ import (
 	"sre/internal/crossbar"
 	"sre/internal/energy"
 	"sre/internal/mapping"
+	"sre/internal/metrics"
 	"sre/internal/quant"
 	"sre/internal/tensor"
 	"sre/internal/xrand"
@@ -112,6 +113,81 @@ func TestOUEventsMatchFunctionalModel(t *testing.T) {
 			for c := range want {
 				if got[c] != want[c] {
 					t.Fatalf("trial %d mode %s: functional result wrong at col %d", trial, mode, c)
+				}
+			}
+		}
+	}
+}
+
+// TestOUEventsMatchFunctionalModelTable1 runs the functional cross-check
+// at the shapes the word-plane kernels specialize: Table 1's 128×128
+// crossbar with 16×16 OUs (eight column groups per full tile) and the
+// default 16-bit quantization. Row block 0 is a full 128-row tile (two
+// mask words per group), row block 1 has 40 rows (one word), and column
+// block 1 has two groups. Each layer runs with and without a code-plane
+// cache (the mask-plane and per-window scratch tiers of phase 1),
+// unmetered (one fused call per tile) and metered (per-group counts).
+func TestOUEventsMatchFunctionalModelTable1(t *testing.T) {
+	p := quant.Default()
+	g := mapping.Default()
+	const rows, cols = 168, 20
+	for trial := 0; trial < 3; trial++ {
+		st, m, _ := smallCase(uint64(40+trial), rows, cols, p, g, 0.5, 0)
+		r := xrand.New(uint64(90 + trial))
+		inputs := make([]uint32, rows)
+		for i := range inputs {
+			// Mixed magnitudes leave the high bit slices sparse or empty.
+			if !r.Bernoulli(0.4) {
+				inputs[i] = uint32(r.Intn(1 << uint(1+r.Intn(p.ABits))))
+			}
+		}
+		lay := st.Layout
+		if lay.RowBlocks != 2 || lay.ColBlocks != 2 || lay.GroupsInTile(0) != 8 {
+			t.Fatalf("layout %d×%d tiles, %d groups; want 2×2 and 8", lay.RowBlocks, lay.ColBlocks, lay.GroupsInTile(0))
+		}
+		cm := m.Decompose()
+		want := crossbar.ReferenceProduct(m, inputs)
+		for _, mode := range []Mode{ModeDOF, ModeORCDOF} {
+			// The functional model, tile by tile.
+			cycles := 0
+			phys := make([]uint64, cm.PhysCols)
+			for rb := 0; rb < lay.RowBlocks; rb++ {
+				lo := rb * g.XbarRows
+				tileIn := inputs[lo : lo+lay.TileRows(rb)]
+				for cb := 0; cb < lay.ColBlocks; cb++ {
+					arr := crossbar.New(lay.TileRows(rb), lay.TileCols(cb))
+					arr.ProgramWindow(cm, lo, cb*g.XbarCols)
+					var sched crossbar.Schedule
+					for gi := 0; gi < lay.GroupsInTile(cb); gi++ {
+						cLo, cHi := lay.GroupCols(cb, gi)
+						plan := st.Plan(mode.Scheme, rb, cb, gi, 0)
+						sched.Groups = append(sched.Groups, crossbar.ColGroup{ColLo: cLo, ColHi: cHi, Rows: plan.Rows})
+					}
+					fres := crossbar.Execute(arr, tileIn, p, g.SWL, sched, true)
+					cycles += fres.Cycles
+					for c, v := range fres.Phys {
+						phys[cb*g.XbarCols+c] += v
+					}
+				}
+			}
+			got := crossbar.ComposeLogical(phys, p)
+			for c := range want {
+				if got[c] != want[c] {
+					t.Fatalf("trial %d mode %s: functional result wrong at col %d", trial, mode, c)
+				}
+			}
+			for _, codes := range []*CodePlanes{nil, NewCodePlanes()} {
+				for _, reg := range []*metrics.Registry{nil, metrics.NewRegistry()} {
+					cfg := DefaultConfig()
+					cfg.Mode = mode
+					cfg.MaxWindows = 0
+					cfg.Metrics = reg
+					l := Layer{Name: "t1", Struct: st, Acts: &sliceSource{rows: [][]uint32{inputs}}, Codes: codes}
+					lr := mustLayer(t, l, cfg)
+					if lr.OUEvents != int64(cycles) {
+						t.Fatalf("trial %d mode %s codes=%t metered=%t: analytic OU events %d != functional cycles %d",
+							trial, mode, codes != nil, reg != nil, lr.OUEvents, cycles)
+					}
 				}
 			}
 		}

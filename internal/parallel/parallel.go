@@ -42,9 +42,24 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("parallel: panic in shard [%d, %d): %v\n%s", e.Start, e.End, e.Value, e.Stack)
 }
 
-// panics records the panics recovered from one For or ForDynamic call.
-// It keeps the one with the lowest start index, so when every shard
-// runs the returned error does not depend on scheduling.
+// run calls fn(start, end) and returns the panic it raised as a
+// *PanicError, or nil. Returning the record, rather than writing it
+// through a shared pointer, keeps the single-worker paths free of heap
+// allocation.
+func run(fn func(start, end int), start, end int) (pe *PanicError) {
+	defer func() {
+		if r := recover(); r != nil {
+			pe = &PanicError{Start: start, End: end, Value: r, Stack: debug.Stack()}
+		}
+	}()
+	fn(start, end)
+	return nil
+}
+
+// panics records the panics recovered from one multi-worker For or
+// ForDynamic call. It keeps the one with the lowest start index, so
+// when every shard runs the returned error does not depend on
+// scheduling.
 type panics struct {
 	mu    sync.Mutex
 	first *PanicError
@@ -52,17 +67,13 @@ type panics struct {
 
 // run calls fn(start, end), recovering a panic into the record.
 func (ps *panics) run(fn func(start, end int), start, end int) {
-	defer func() {
-		if r := recover(); r != nil {
-			pe := &PanicError{Start: start, End: end, Value: r, Stack: debug.Stack()}
-			ps.mu.Lock()
-			if ps.first == nil || pe.Start < ps.first.Start {
-				ps.first = pe
-			}
-			ps.mu.Unlock()
+	if pe := run(fn, start, end); pe != nil {
+		ps.mu.Lock()
+		if ps.first == nil || pe.Start < ps.first.Start {
+			ps.first = pe
 		}
-	}()
-	fn(start, end)
+		ps.mu.Unlock()
+	}
 }
 
 // err returns the recorded panic, or else ctx.Err.
@@ -170,7 +181,6 @@ func (p *Pool) For(ctx context.Context, n int, fn func(start, end int)) error {
 	if shards > n {
 		shards = n
 	}
-	var ps panics
 	if shards == 1 {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -178,9 +188,12 @@ func (p *Pool) For(ctx context.Context, n int, fn func(start, end int)) error {
 		if st != nil {
 			st.ShardsInline.Add(1)
 		}
-		ps.run(fn, 0, n)
-		return ps.err(ctx)
+		if pe := run(fn, 0, n); pe != nil {
+			return pe
+		}
+		return ctx.Err()
 	}
+	var ps panics
 	var wg sync.WaitGroup
 	for s := 0; s < shards; s++ {
 		if ctx.Err() != nil {
@@ -264,11 +277,18 @@ func (p *Pool) ForDynamic(ctx context.Context, n, chunk int, fn func(start, end 
 		if st != nil {
 			st.DynWorkers.Add(1)
 		}
-		var ps panics
+		// Chunks run in index order, so the first panic has the lowest
+		// start.
+		var first *PanicError
 		for c := 0; c < nChunks && ctx.Err() == nil; c++ {
-			ps.run(fn, c*chunk, min((c+1)*chunk, n))
+			if pe := run(fn, c*chunk, min((c+1)*chunk, n)); pe != nil && first == nil {
+				first = pe
+			}
 		}
-		return ps.err(ctx)
+		if first != nil {
+			return first
+		}
+		return ctx.Err()
 	}
 	var cursor atomic.Int64
 	var ps panics
